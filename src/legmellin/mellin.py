@@ -131,21 +131,23 @@ def _shift_plus_one(coeffs: Tuple[int, ...]) -> list:
 
 
 def _poly_int(n: int, m: int) -> _PolyInt:
-    """(coeffs, denominator) of p_n^m, m even, via the two-branch recursion."""
+    """(coeffs, denominator) of p_n^m, m even, via the two-branch recursion.
+
+    The cache holds every degree from m up to the highest one built for this
+    m, so the recursion resumes from the two highest cached degrees.
+    """
     key = (n, m)
     if key in _POLY_CACHE:
         return _POLY_CACHE[key]
-    base = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1)
-    prev2: _PolyInt = ((base,), 1)            # p_m^m
-    _POLY_CACHE[(m, m)] = prev2
-    if n == m:
-        return prev2
-    prev1: _PolyInt = (((2 * m + 1) * base,), 1)   # p_{m+1}^m
-    _POLY_CACHE[(m + 1, m)] = prev1
-    for k in range(m + 2, n + 1):
-        if (k - m) % 2 == 0 and (k, m) in _POLY_CACHE:
-            prev2, prev1 = prev1, _POLY_CACHE[(k, m)]
-            continue
+    if (m, m) not in _POLY_CACHE:
+        base = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1)
+        _POLY_CACHE[(m, m)] = ((base,), 1)                    # p_m^m
+        _POLY_CACHE[(m + 1, m)] = (((2 * m + 1) * base,), 1)  # p_{m+1}^m
+    top = m + 1
+    while (top + 1, m) in _POLY_CACHE:
+        top += 1
+    prev2, prev1 = _POLY_CACHE[(top - 1, m)], _POLY_CACHE[(top, m)]
+    for k in range(top + 1, n + 1):
         a, da = prev1
         b, db = prev2
         shifted = _shift_plus_one(a)
@@ -220,40 +222,40 @@ def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
 # ---------------------------------------------------------------------------
 # the transforms themselves
 
-def _odd_order_exact(n: int, m: int, s: Fraction) -> Fraction:
-    """M_n^m(s) for odd m and rational s; all values are exact rationals.
+def _degree_walk(n: int, m: int, seed):
+    """M_n^m(s) from the seeds seed(t) = M_m^m(s+t), m <= n, by the degree
+    recursion (k-m) M_k(s) = (2k-1) M_{k-1}(s+1) - (k+m-1) M_{k-2}(s).
 
-    Seeds: M_m^m and M_{m+1}^m = (2m+1) M_m^m(s+1); then the degree
-    recursion (n-m) M_n^m = (2n-1) M_{n-1}^m(s+1) - (n+m-1) M_{n-2}^m(s).
+    Built one degree at a time, keeping only the shifts that reach M_n^m(s):
+    row_k[i] = M_k^m(s + n-k-2i) for i = 0..(n-k)//2, so that
+
+        row_k[i] = ((2k-1) row_{k-1}[i] - (k+m-1) row_{k-2}[i+1]) / (k-m)
+
+    from k = m + 1 on, with row_{m-1} = 0 because P_{m-1}^m vanishes; the
+    first step is thus row_{m+1} = (2m+1) row_m.  The scalar type is whatever
+    seed returns (Fraction or mpc); only int multiples, differences and
+    quotients occur.
     """
-    memo: Dict[Tuple[int, int], Fraction] = {}
-
-    def seed(shift: int) -> Fraction:
-        sv = s + shift
-        # Gamma((m+1)/2) = ((m-1)/2)! = (m-1)!!/2^((m-1)/2) for odd m;
-        # Gamma(s/2)/Gamma((s+m+1)/2) = 1/(s/2)_((m+1)/2), integer count
-        num = (-1) ** m * double_factorial(2 * m - 1) \
-            * Fraction(double_factorial(m - 1), 2 ** ((m - 1) // 2))
-        return num / 2 / pochhammer_rational(sv / 2, (m + 1) // 2)
-
-    def value(k: int, shift: int) -> Fraction:
-        if (k, shift) in memo:
-            return memo[(k, shift)]
-        if k == m:
-            out = seed(shift)
-        elif k == m + 1:
-            out = (2 * m + 1) * seed(shift + 1)
-        else:
-            out = (Fraction(2 * k - 1) * value(k - 1, shift + 1)
-                   - (k + m - 1) * value(k - 2, shift)) / (k - m)
-        memo[(k, shift)] = out
-        return out
-
-    return value(n, 0)
+    prev = [0] * ((n - m + 1) // 2 + 1)
+    row = [seed(n - m - 2 * i) for i in range((n - m) // 2 + 1)]
+    for k in range(m + 1, n + 1):
+        prev, row = row, [((2 * k - 1) * row[i] - (k + m - 1) * prev[i + 1]) / (k - m)
+                          for i in range((n - k) // 2 + 1)]
+    return row[0]
 
 
-def _odd_order_float(n: int, m: int, s: mp.mpc, workprec: int) -> mp.mpc:
-    memo: Dict[Tuple[int, int], mp.mpc] = {}
+def _odd_order_exact(n: int, m: int, s: Fraction) -> Fraction:
+    """M_n^m(s) for odd m and rational s; all values are exact rationals."""
+    # Gamma((m+1)/2) = ((m-1)/2)! = (m-1)!!/2^((m-1)/2) for odd m;
+    # Gamma(s/2)/Gamma((s+m+1)/2) = 1/(s/2)_((m+1)/2), integer count
+    num = (-1) ** m * double_factorial(2 * m - 1) \
+        * Fraction(double_factorial(m - 1), 2 ** ((m - 1) // 2))
+    return _degree_walk(
+        n, m, lambda shift: num / 2 / pochhammer_rational((s + shift) / 2, (m + 1) // 2))
+
+
+def _odd_order_float(n: int, m: int, s: mp.mpc) -> mp.mpc:
+    """M_n^m(s) for odd m at the ambient working precision."""
     half = (m + 1) // 2
     lead = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1) \
         / mp.power(2, half)
@@ -265,20 +267,7 @@ def _odd_order_float(n: int, m: int, s: mp.mpc, workprec: int) -> mp.mpc:
             acc *= sv / 2 + j
         return lead / acc
 
-    def value(k: int, shift: int) -> mp.mpc:
-        if (k, shift) in memo:
-            return memo[(k, shift)]
-        if k == m:
-            out = seed(shift)
-        elif k == m + 1:
-            out = (2 * m + 1) * seed(shift + 1)
-        else:
-            out = ((2 * k - 1) * value(k - 1, shift + 1)
-                   - (k + m - 1) * value(k - 2, shift)) / (k - m)
-        memo[(k, shift)] = out
-        return out
-
-    return value(n, 0)
+    return _degree_walk(n, m, seed)
 
 
 def mellin_recursion_reference(n: int, m: int, s,
@@ -289,6 +278,10 @@ def mellin_recursion_reference(n: int, m: int, s,
     (2m-1)!! (m-1)!! sqrt(pi) 2^-(m/2+1) Gamma(s/2) / Gamma((s+m+1)/2);
     odd m reuses the odd-order walk.  The polynomial factor never enters,
     so the result is an independent check on poly_factor.
+
+    The value recursion loses up to about 1.25 bits per degree, and only
+    the usual guard bits are added here: a caller that needs the result
+    good to b bits must pass precision_bits of about b + 1.25 (n - m).
     """
     if n < 0 or m < 0:
         raise DomainError("requires n >= 0 and m >= 0")
@@ -298,8 +291,7 @@ def mellin_recursion_reference(n: int, m: int, s,
     z = _require_right_half_plane(s, workprec)
     with mp.workprec(workprec):
         if m % 2 == 1:
-            return _wrap(_odd_order_float(n, m, z, workprec), precision_bits)
-        memo: Dict[Tuple[int, int], mp.mpc] = {}
+            return _wrap(_odd_order_float(n, m, z), precision_bits)
         lead = double_factorial(2 * m - 1) * double_factorial(m - 1) \
             * mp.sqrt(mp.pi) / mp.power(2, m // 2 + 1)
 
@@ -307,20 +299,7 @@ def mellin_recursion_reference(n: int, m: int, s,
             sv = z + shift
             return lead * mp.gamma(sv / 2) * mp.rgamma((sv + m + 1) / 2)
 
-        def value(k: int, shift: int) -> mp.mpc:
-            if (k, shift) in memo:
-                return memo[(k, shift)]
-            if k == m:
-                out = seed(shift)
-            elif k == m + 1:
-                out = (2 * m + 1) * seed(shift + 1)
-            else:
-                out = ((2 * k - 1) * value(k - 1, shift + 1)
-                       - (k + m - 1) * value(k - 2, shift)) / (k - m)
-            memo[(k, shift)] = out
-            return out
-
-        return _wrap(value(n, 0), precision_bits)
+        return _wrap(_degree_walk(n, m, seed), precision_bits)
 
 
 def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
@@ -341,9 +320,11 @@ def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) ->
         exact = _odd_order_exact(n, m, as_rational(rational))
         with mp.workprec(workprec):
             return _wrap(mp.mpf(exact.numerator) / exact.denominator, precision_bits)
+    # the float walk loses up to about 1.25 bits per degree
+    workprec += (3 * n) // 2
     with mp.workprec(workprec):
         z = _to_mpc(s, workprec)
-        return _wrap(_odd_order_float(n, m, z, workprec), precision_bits)
+        return _wrap(_odd_order_float(n, m, z), precision_bits)
 
 
 def mellin_odd_order_exact(n: int, m: int, s) -> Fraction:

@@ -233,16 +233,6 @@ class HypergeometricSpec:
         return best
 
 
-def _termination_of(params) -> Optional[int]:
-    best = None
-    for p in params:
-        if is_nonpositive_integer(p):
-            g = _exact_rational_or_none(p)
-            k = int(-g.re) if g is not None else int(-_to_mpc(p, 64).real)
-            best = k if best is None else min(best, k)
-    return best
-
-
 def _check_denominator_poles(spec: HypergeometricSpec) -> None:
     n_term = spec.termination_index
     for d in spec.denominator_params:
@@ -296,7 +286,7 @@ def hyp_terminating_exact(spec: HypergeometricSpec) -> GaussianRational:
     return total
 
 
-def _sum_finite(nums, dens, z, n_term: int, precision_bits: int) -> mp.mpc:
+def _sum_finite(nums, dens, z, n_term: int) -> mp.mpc:
     total = mp.mpc(0)
     term = mp.mpc(1)
     for k in range(n_term + 1):
@@ -440,14 +430,12 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
                 return hyp_terminating_exact(spec).to_hpcomplex(precision_bits)
             fnums = [_to_mpc(p, precision_bits + _GUARD) for p in spec.numerator_params]
             fdens = [_to_mpc(p, precision_bits + _GUARD) for p in spec.denominator_params]
-            return _wrap(_sum_finite(fnums, fdens, z, n_term, precision_bits), precision_bits)
+            return _wrap(_sum_finite(fnums, fdens, z, n_term), precision_bits)
 
         fnums = [_to_mpc(p, precision_bits + _GUARD) for p in spec.numerator_params]
         fdens = [_to_mpc(p, precision_bits + _GUARD) for p in spec.denominator_params]
 
         if abs(z) < 1:
-            if len(fnums) == 2 and len(fdens) == 1 and z == -1:
-                pass  # unreachable: |−1| = 1
             return _wrap(_sum_inside_disk(fnums, fdens, z, precision_bits), precision_bits)
 
         if z == -1 and len(fnums) == 2 and len(fdens) == 1:
@@ -495,9 +483,9 @@ class TransformId(enum.Enum):
 
 
 def _f32(nums, dens, precision_bits) -> mp.mpc:
-    n_term = _termination_of(nums)
+    n_term = HypergeometricSpec(nums, dens, 1).termination_index
     if n_term is not None:
-        return _sum_finite(nums, dens, mp.mpf(1), n_term, precision_bits)
+        return _sum_finite(nums, dens, mp.mpf(1), n_term)
     if _excess(nums, dens) <= 0:
         raise DivergenceError("3F2(1) side series diverges")
     return _hyper_unit(nums, dens, precision_bits)

@@ -4,12 +4,14 @@ schemas, and precision resolution."""
 import csv
 import io
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 from legmellin import suites
 from legmellin.cli import PRECISION_ENV_VAR, run_command
+from legmellin.mellin import order_one_exact
 
 
 def _run(capsys, argv):
@@ -50,6 +52,18 @@ def test_mellin_complex_argument(capsys):
     payload = json.loads(out)
     assert payload["s"] == "2+3i"
     assert "i" in payload["value"]
+
+
+def test_mellin_high_degree_odd_order(capsys):
+    # more degrees than the default recursion limit has frames
+    code, out, err = _run(capsys, ["mellin", "--n", "1001", "--m", "1",
+                                   "--s", "5/2", "--precision", "128"])
+    assert code == 0, err
+    exact = order_one_exact(1001, Fraction(5, 2))
+    with mp.workprec(256):
+        got = mp.mpmathify(json.loads(out)["value"])
+        want = mp.mpf(exact.numerator) / exact.denominator
+        assert abs(got - want) / abs(want) < mp.mpf(2) ** -108
 
 
 def test_zeros_payload(capsys):

@@ -1,11 +1,13 @@
 """Closed forms, polynomial factors, representation catalog, generating
 series."""
 
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from legmellin import mellin
 from legmellin.errors import DomainError
 from legmellin.mpcore import HPComplex, RationalPolynomial
 from legmellin.mellin import (
@@ -152,6 +154,59 @@ def test_value_recursion_matches_closed_form(n, m, s):
     with mp.workprec(384):
         rel = abs(got.to_mpc() - ref.to_mpc()) / max(abs(ref.to_mpc()), mp.mpf(1))
         assert rel < mp.mpf(10) ** -60
+
+
+def _rel_error(got: HPComplex, want: HPComplex) -> mp.mpf:
+    with mp.workprec(1024):
+        return abs(got.to_mpc() - want.to_mpc()) / abs(want.to_mpc())
+
+
+def test_odd_order_float_holds_precision_at_high_degree():
+    # the float walk loses about a bit per degree, so its working precision
+    # has to grow with n; at a fixed guard the n = 200 row is garbage
+    s = HPComplex(2, 3, 320)
+    got = mellin_closed(200, 1, s, 128)
+    want = order_one_reference(200, s, 256)
+    assert _rel_error(got, want) < mp.mpf(2) ** -108
+    for n, m in ((70, 3), (71, 5)):
+        got = mellin_closed(n, m, s, 128)
+        want = mellin_recursion_reference(n, m, s, 128 + 64 + (3 * n) // 2)
+        assert _rel_error(got, want) < mp.mpf(2) ** -108
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_value_recursion_needs_no_stack_depth():
+    # the walk must not take a Python frame per degree
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 250)
+    try:
+        got = mellin_recursion_reference(300, 0, 1, 128 + 64 + 450)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _rel_error(got, special_value_at_1(300, 256)) < mp.mpf(2) ** -108
+
+
+def test_poly_int_resumes_from_cached_degrees(monkeypatch):
+    calls = []
+    shift = mellin._shift_plus_one
+
+    def counting(coeffs):
+        calls.append(len(coeffs))
+        return shift(coeffs)
+
+    monkeypatch.setattr(mellin, "_POLY_CACHE", {})
+    cold = mellin._poly_int(20, 0)
+    monkeypatch.setattr(mellin, "_POLY_CACHE", {})
+    mellin._poly_int(12, 0)
+    monkeypatch.setattr(mellin, "_shift_plus_one", counting)
+    assert mellin._poly_int(20, 0) == cold
+    assert len(calls) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,17 @@
-"""Critical-line certification: exact functional equations, certified zero
-locations, difference-equation residuals, and the continuous-Hahn bridge.
+"""Critical-line certification: exact functional equations, zero locations
+proven on the line, difference-equation residuals, and the continuous-Hahn
+bridge.
+
+The zero certificate is exact.  Each polynomial factor p_n^m satisfies
+p(1-s) = +-p(s), so p(1/2 + x) = x^e R(-x^2) with rational R.
+`find_roots` locates the roots of R in real arithmetic and proves them by
+the exact sign alternation of R at dyadic points, which makes every root
+of p simple and on Re s = 1/2 with no tolerance involved.  That R is
+real-rooted is the paper's theorem, reached through its continuous-Hahn
+bridge (`hahn_proportionality`).  Newton residuals are reported, not
+relied on.  Polynomials without the symmetry, and symmetric ones the
+proof does not cover, go to complex Aberth iteration, whose certificate
+is the Newton residual.
 
 The functional-equation sign deserves a note.  A real-coefficient polynomial
 whose roots all sit on Re s = 1/2 satisfies p(1-s) = (-1)^(deg p) p(s), and
@@ -26,6 +38,7 @@ from .mpcore import (
     as_rational,
     poly_affine_substitute,
     poly_structural_equal,
+    rational_to_mpf,
 )
 from .specfun import HypergeometricSpec, hyp_pfq, hyp_terminating_exact
 
@@ -37,7 +50,7 @@ _GUARD = 64
 
 def _eval_with_derivative(coeffs, z):
     p = coeffs[-1]
-    dp = mp.mpc(0)
+    dp = mp.mpf(0)
     for c in reversed(coeffs[:-1]):
         dp = dp * z + p
         p = p * z + c
@@ -50,16 +63,117 @@ def _monic_coeffs(p: RationalPolynomial, workprec: int) -> List[mp.mpc]:
         return [mp.mpc(c / vals[-1]) for c in vals]
 
 
-def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -> List[HPComplex]:
+def _newton_polish(coeffs, z, workprec: int):
+    """Plain Newton on the coefficient list, to the working-precision floor."""
+    for _ in range(64):
+        pv, dpv = _eval_with_derivative(coeffs, z)
+        if pv == 0 or dpv == 0:
+            break
+        step = pv / dpv
+        z -= step
+        if abs(step) <= (abs(z) + 1) * mp.mpf(2) ** (-(workprec - 8)):
+            break
+    return z
+
+
+def _descending_real_roots(r: RationalPolynomial, workprec: int) -> Optional[List[mp.mpf]]:
+    """The deg r roots of r, largest first, by Newton-Maehly (Newton on r
+    with the roots already found divided out implicitly), or None.
+
+    If every root is real and positive each search starts above the root
+    it is after, where the steps shrink monotonically: the first just
+    above the sum of the roots, each later one just below the last root
+    found or just above the sum of the roots still missing.  A step that
+    fails to shrink marks the floor of evaluation noise.  A root that is
+    not positive ends the search.  Nothing here is trusted; the caller
+    proves the result exactly."""
+    k = r.degree
+    with mp.workprec(workprec):
+        a = [rational_to_mpf(c, workprec) for c in r.coefficients]
+        total = -a[k - 1] / a[k]
+        if not total > 0:
+            return None
+        above = 1 + mp.mpf(2) ** -16
+        below = 1 - mp.mpf(2) ** (-(workprec // 4))
+        floor = mp.mpf(2) ** (-(workprec - 8))
+        found: List[mp.mpf] = []
+        y = total * above
+        for _ in range(k):
+            last = mp.inf
+            for _ in range(64 + 8 * k):
+                v, dv = _eval_with_derivative(a, y)
+                if v == 0:
+                    break
+                if dv == 0:
+                    return None
+                step = v / dv
+                step /= 1 - step * mp.fsum(1 / (y - z) for z in found)
+                y -= step
+                if abs(step) >= last or abs(step) <= abs(y) * floor:
+                    break
+                last = abs(step)
+            else:
+                return None
+            if not y > 0:
+                return None
+            found.append(y)
+            y = min(y * below, (total - mp.fsum(found)) * above)
+        return found
+
+
+def _sign_alternation_proves(r: RationalPolynomial, located: List[mp.mpf]) -> bool:
+    """Exact proof that r has exactly one root in each interval
+    (q_(j-1), q_j) around located[j-1], with q_0 = 0, q_j the midpoints of
+    the located roots and q_k = 2 * located[-1], k = deg r.
+
+    The q_j are dyadic, so r(q_j) is computed exactly.  Nonzero signs that
+    alternate put, by the intermediate value theorem, a root of r in each
+    of the k intervals, and as r has degree k each holds exactly one."""
+    points = [mp.mpf(0)] + [(lo + hi) / 2 for lo, hi in zip(located, located[1:])]
+    points.append(2 * located[-1])
+    chain = [v for pair in zip(points, located) for v in pair] + points[-1:]
+    if any(not lo < hi for lo, hi in zip(chain, chain[1:])):
+        return False
+    values = [r.eval_rational(Fraction(*mp.libmp.to_rational(q._mpf_))) for q in points]
+    return all(a * b < 0 for a, b in zip(values, values[1:]))
+
+
+def _line_roots(p: RationalPolynomial, precision_bits: int) -> Optional[List[HPComplex]]:
+    """The roots of p, proven simple and on Re s = 1/2, or None.
+
+    With p(1/2 + x) = x^e R(-x^2), the roots of p are 1/2 +- i sqrt(y) for
+    the roots y of R, plus 1/2 when e = 1.  So every root of p is simple
+    and on the line exactly when R has deg R distinct positive roots,
+    which `_sign_alternation_proves` checks exactly.  R is real-rooted for
+    every p_n^m, as the paper shows through its continuous-Hahn bridge
+    (`hahn_proportionality`: p_2n^0(s) is a constant times a continuous
+    Hahn polynomial in x = -is/2); the code assumes none of that."""
+    c = poly_affine_substitute(p, Fraction(1), Fraction(1, 2)).coefficients
+    e = p.degree % 2
+    if any(c[1 - e::2]):
+        return None  # p(1/2 + x) mixes even and odd powers: p(1-s) != +-p(s)
+    r = RationalPolynomial(-v if j % 2 else v for j, v in enumerate(c[e::2]))
+    workprec = precision_bits + _GUARD
+    with mp.workprec(workprec):
+        located: List[mp.mpf] = []
+        if r.degree > 0:
+            found = _descending_real_roots(r, workprec)
+            if found is None:
+                return None
+            located = found[::-1]
+            if not _sign_alternation_proves(r, located):
+                return None
+        heights = [mp.sqrt(y) for y in located]
+        imag = [-h for h in reversed(heights)] + [mp.mpf(0)] * e + heights
+        return [HPComplex(Fraction(1, 2), t, precision_bits) for t in imag]
+
+
+def _aberth_roots(p: RationalPolynomial, precision_bits: int) -> List[HPComplex]:
     """All roots of p by simultaneous Aberth iteration with per-root Newton
     polish.  Each returned root carries the certificate
     |p(root)/p'(root)| <= 2^(-prec/2), and pairwise separations exceed the
     certificate radii (roots are simple or we refuse)."""
     d = p.degree
-    if p.is_zero:
-        raise DomainError("the zero polynomial has no root set")
-    if d == 0:
-        return []
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
         coeffs = _monic_coeffs(p, workprec)
@@ -106,15 +220,7 @@ def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -
             )
 
         # quadratic polish to the working-precision floor
-        for j in range(d):
-            for _ in range(64):
-                pv, dpv = _eval_with_derivative(coeffs, z[j])
-                if pv == 0 or dpv == 0:
-                    break
-                step = pv / dpv
-                z[j] -= step
-                if abs(step) <= (abs(z[j]) + 1) * mp.mpf(2) ** (-(workprec - 8)):
-                    break
+        z = [_newton_polish(coeffs, zj, workprec) for zj in z]
 
         certificate = mp.mpf(2) ** (-(precision_bits // 2))
         radii = []
@@ -136,15 +242,38 @@ def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -
         return [HPComplex(r.real, r.imag, precision_bits) for r in z]
 
 
+def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -> List[HPComplex]:
+    """All roots of p, sorted by (imaginary, real) part and rounded to
+    precision_bits.
+
+    When p(1-s) = +-p(s), as for every polynomial factor p_n^m, the roots
+    are located on the real-rooted half-polynomial R of `_line_roots` and
+    proven simple and on Re s = 1/2 by the exact sign alternation of R at
+    rational points; no tolerance enters the proof.  Other polynomials,
+    and symmetric ones the proof does not cover (a root off the line, a
+    multiple root, or a locator that does not settle), go to Aberth
+    iteration, whose certificate is the Newton residual
+    |p(root)/p'(root)| <= 2^(-prec/2) with disjoint residual disks; it
+    raises ConvergenceError on multiple or clustered roots."""
+    if p.is_zero:
+        raise DomainError("the zero polynomial has no root set")
+    if p.degree == 0:
+        return []
+    roots = _line_roots(p, precision_bits)
+    return _aberth_roots(p, precision_bits) if roots is None else roots
+
+
 @dataclass(frozen=True)
 class ZeroReport:
     n: int
     m: int
     roots: Tuple[HPComplex, ...]
-    residuals: Tuple[mp.mpf, ...]  # Newton residuals |p(r)/p'(r)|, the certified quantity
+    # Newton residuals |p(r)/p'(r)| of the rounded roots: reported, not relied
+    # on; the certificate is the exact sign alternation in find_roots
+    residuals: Tuple[mp.mpf, ...]
     max_deviation: mp.mpf
     precision_bits: int
-    shift_deviation: mp.mpf  # roots of p(s+1/2) against roots of p, shifted
+    shift_deviation: mp.mpf  # roots re-polished on p(s+1/2) against roots of p, shifted
 
     @property
     def certificate_tolerance(self) -> mp.mpf:
@@ -153,8 +282,13 @@ class ZeroReport:
 
 def critical_line_report(n: int, m: int = 0,
                          precision_bits: int = DEFAULT_PRECISION) -> ZeroReport:
-    """Roots of the polynomial factor with their distance from Re s = 1/2,
-    recomputed through the half-shifted polynomial as a cross-check."""
+    """Roots of the polynomial factor with their distance from Re s = 1/2.
+
+    The roots come from one `find_roots` call, which proves them simple and
+    on the line by exact sign alternation.  The report adds each root's
+    Newton residual on p and a cross-check through the half-shifted
+    polynomial: r - 1/2 is re-polished by unconstrained complex Newton on
+    p(s + 1/2), rounded to precision_bits and shifted back."""
     closed = poly_factor(n, m)
     p = closed.poly
     if p.degree < 1:
@@ -164,21 +298,21 @@ def critical_line_report(n: int, m: int = 0,
     with mp.workprec(workprec):
         # Newton residual |p/p'|: invariant under coefficient scaling, so it
         # stays comparable across n even though the raw coefficients explode.
-        residuals = []
-        for r in roots:
-            pv, dpv = _eval_with_derivative(
-                [mp.mpc(c) for c in _monic_coeffs(p, workprec)], r.to_mpc()
-            )
-            residuals.append(abs(pv / dpv) if dpv != 0 else abs(pv))
-        residuals = tuple(residuals)
+        coeffs = _monic_coeffs(p, workprec)
+        shifted = _monic_coeffs(
+            poly_affine_substitute(p, Fraction(1), Fraction(1, 2)), workprec)
         half = mp.mpf(1) / 2
+        residuals = []
+        shift_deviation = mp.mpf(0)
+        for r in roots:
+            z = r.to_mpc()
+            pv, dpv = _eval_with_derivative(coeffs, z)
+            residuals.append(abs(pv / dpv) if dpv != 0 else abs(pv))
+            moved = HPComplex.from_value(
+                _newton_polish(shifted, z - half, workprec), precision_bits)
+            shift_deviation = max(shift_deviation, abs(moved.to_mpc() + half - z))
+        residuals = tuple(residuals)
         max_deviation = max(abs(r.to_mpc().real - half) for r in roots)
-        shifted = poly_affine_substitute(p, Fraction(1), Fraction(1, 2))
-        shifted_roots = find_roots(shifted, precision_bits)
-        shift_deviation = max(
-            abs(a.to_mpc() + half - b.to_mpc())
-            for a, b in zip(shifted_roots, roots)
-        )
     return ZeroReport(
         n=n, m=m, roots=tuple(roots), residuals=residuals,
         max_deviation=mp.mpf(max_deviation), precision_bits=precision_bits,

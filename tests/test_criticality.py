@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legmellin import criticality
 from legmellin.criticality import (
     HahnParams,
+    _aberth_roots,
+    _line_roots,
     critical_line_report,
     difference_equation_residual,
     difference_equation_symbolic,
@@ -22,9 +25,14 @@ from legmellin.criticality import (
     hahn_eval_exact,
     hahn_proportionality,
 )
-from legmellin.errors import DomainError
+from legmellin.errors import ConvergenceError, DomainError
 from legmellin.mellin import poly_factor
-from legmellin.mpcore import GaussianRational, HPComplex, RationalPolynomial
+from legmellin.mpcore import (
+    GaussianRational,
+    HPComplex,
+    RationalPolynomial,
+    poly_affine_substitute,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +85,87 @@ def test_find_roots_on_plain_polynomial():
     with mp.workprec(256):
         assert abs(roots[0].to_mpc() - mp.mpf(1) / 2) < mp.mpf(2) ** -180
         assert abs(roots[1].to_mpc() - mp.mpf(3) / 2) < mp.mpf(2) ** -180
+
+
+def test_line_route_matches_aberth():
+    # The one allowed difference: Aberth may leave a sub-ulp imaginary part
+    # on the exact root s = 1/2, which the line route returns as exactly 1/2.
+    for bits in (256, 512):
+        tiny = mp.mpf(2) ** -bits
+        for m in (0, 2, 4):
+            for n in range(m + 2, 41):
+                p = poly_factor(n, m).poly
+                proved = _line_roots(p, bits)
+                assert proved is not None, (n, m, bits)
+                assert find_roots(p, bits) == proved
+                for got, want in zip(proved, _aberth_roots(p, bits)):
+                    if got != want:
+                        assert got == Fraction(1, 2), (n, m, bits)
+                        assert want.real == got.real and abs(want.imag) < tiny
+
+
+def test_report_makes_one_root_solve(monkeypatch):
+    calls = []
+    solve = criticality.find_roots
+
+    def counted(p, precision_bits):
+        calls.append(p.degree)
+        return solve(p, precision_bits)
+
+    monkeypatch.setattr(criticality, "find_roots", counted)
+    report = critical_line_report(13, 0, 256)
+    assert calls == [6]
+    assert report.shift_deviation == 0
+
+
+def test_symmetric_roots_off_the_line_fall_back():
+    # (s - 2)(s + 1) = s^2 - s - 2 satisfies p(1 - s) = p(s)
+    p = RationalPolynomial([-2, -1, 1])
+    assert _line_roots(p, 192) is None
+    roots = find_roots(p, 192)
+    assert [r.imag for r in roots] == [0, 0]
+    with mp.workprec(256):
+        assert abs(roots[0].real + 1) < mp.mpf(2) ** -180
+        assert abs(roots[1].real - 2) < mp.mpf(2) ** -180
+    # p(1/2 + x) = (x^2 + 9)^2 + 1/1000: R(y) = (y - 9)^2 + 1/1000 has no
+    # real root, though the locator returns two positive values for it; the
+    # sign proof rejects them, and every root sits about 0.0053 off the line
+    p = poly_affine_substitute(
+        RationalPolynomial([Fraction(81001, 1000), 0, 18, 0, 1]), 1, Fraction(-1, 2))
+    assert _line_roots(p, 192) is None
+    with mp.workprec(256):
+        assert all(abs(r.real - mp.mpf(1) / 2) > mp.mpf("0.005") for r in find_roots(p, 192))
+
+
+def test_double_root_on_the_line_refused():
+    # (s - 1/2)^2 (s^2 - s + 5/4)
+    p = RationalPolynomial([Fraction(1, 4), -1, 1]) * RationalPolynomial([Fraction(5, 4), -1, 1])
+    assert _line_roots(p, 256) is None
+    assert _line_roots(p, 512) is None
+    with pytest.raises(ConvergenceError):
+        find_roots(p, 512)
+
+
+@given(st.lists(st.fractions(min_value=Fraction(1, 16), max_value=64, max_denominator=16),
+                min_size=1, max_size=6, unique=True),
+       st.booleans(), st.sampled_from([128, 256]))
+@settings(max_examples=40, deadline=None)
+def test_line_roots_of_planted_heights(heights, centre, bits):
+    # prod ((s - 1/2)^2 + y) = prod (s^2 - s + 1/4 + y), times (s - 1/2)
+    p = RationalPolynomial([Fraction(-1, 2), 1]) if centre else RationalPolynomial.one()
+    for y in heights:
+        p = p * RationalPolynomial([Fraction(1, 4) + y, -1, 1])
+    roots = find_roots(p, bits)
+    assert _line_roots(p, bits) == roots
+    assert len(roots) == p.degree
+    assert all(r.real == Fraction(1, 2) for r in roots)
+    with mp.workprec(bits + 64):
+        want = sorted(sgn * mp.sqrt(mp.mpf(y.numerator) / y.denominator)
+                      for y in heights for sgn in (-1, 1))
+        if centre:
+            want = sorted(want + [mp.mpf(0)])
+        for r, t in zip(roots, want):
+            assert abs(r.imag - t) <= mp.mpf(2) ** (16 - bits) * abs(r.to_mpc())
 
 
 # ---------------------------------------------------------------------------

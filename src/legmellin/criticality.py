@@ -168,11 +168,30 @@ def _line_roots(p: RationalPolynomial, precision_bits: int) -> Optional[List[HPC
         return [HPComplex(Fraction(1, 2), t, precision_bits) for t in imag]
 
 
+def _horner_error_bounds(coeffs, z, workprec: int):
+    """Bounds on the rounding errors of `_eval_with_derivative` at z for p
+    and for p': 4 d u sum |c_i| |z|^i and 4 d u sum i |c_i| |z|^(i-1), with
+    u = 2^-workprec (Higham, Accuracy and Stability, section 5.1; the
+    factor 4 d covers complex arithmetic and the rounded coefficients)."""
+    d = len(coeffs) - 1
+    r = abs(z)
+    sizes = [abs(c) for c in coeffs]
+    bound, dbound = sizes[-1], mp.mpf(0)
+    for c in reversed(sizes[:-1]):
+        dbound = dbound * r + bound
+        bound = bound * r + c
+    scale = 4 * d * mp.mpf(2) ** (-workprec)
+    return scale * bound, scale * dbound
+
+
 def _aberth_roots(p: RationalPolynomial, precision_bits: int) -> List[HPComplex]:
     """All roots of p by simultaneous Aberth iteration with per-root Newton
     polish.  Each returned root carries the certificate
-    |p(root)/p'(root)| <= 2^(-prec/2), and pairwise separations exceed the
-    certificate radii (roots are simple or we refuse)."""
+    (|p| + e)/(|p'| - e') <= 2^(-prec/2) at the root, where e and e' bound
+    the rounding errors of evaluating p and p', and the disks of d times
+    that radius are pairwise disjoint.  Otherwise, or when |p'| <= e', the
+    roots are multiple or clustered and we refuse: a computed p that is
+    only rounding noise proves nothing."""
     d = p.degree
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
@@ -226,11 +245,17 @@ def _aberth_roots(p: RationalPolynomial, precision_bits: int) -> List[HPComplex]
         radii = []
         for j in range(d):
             pv, dpv = _eval_with_derivative(coeffs, z[j])
-            if dpv == 0 or (pv != 0 and abs(pv / dpv) > certificate):
+            err, derr = _horner_error_bounds(coeffs, z[j], workprec)
+            if abs(dpv) <= derr:
+                raise ConvergenceError(
+                    f"p' at root {j} is within rounding noise; multiple or clustered roots"
+                )
+            residual = (abs(pv) + err) / (abs(dpv) - derr)
+            if residual > certificate:
                 raise ConvergenceError(
                     f"root {j} failed the Newton-residual certificate at {precision_bits} bits"
                 )
-            radii.append(d * abs(pv / dpv) if dpv != 0 else mp.mpf(0))
+            radii.append(d * residual)
         for i in range(d):
             for j in range(i + 1, d):
                 if abs(z[i] - z[j]) <= radii[i] + radii[j]:

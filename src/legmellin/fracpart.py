@@ -9,8 +9,9 @@ Everything in here is one of three kinds of object:
   the alternating/direct transforms ``I_j``/``J_j``, an auxiliary shifted
   power sum), each with an explicit tail bound or acceleration; and
 * independent numeric oracles: a k-sum with exact inner integrals for the
-  moment integrals, and singularity-split quadrature for the weighted and
-  paired integrals.
+  moment integrals, and, for the weighted and paired integrals, tanh-sinh
+  quadrature over the unit-fraction segments plus a tail past the last
+  segment that is summed exactly as Hurwitz zetas.
 
 Closed forms are never trusted on their own; the test suite pins each one
 against the matching oracle.
@@ -36,6 +37,7 @@ from .mpcore import (
 from .quadrature import tanh_sinh
 
 _GUARD = 24
+_TAIL_GUARD = 64  # for the cancelling terms of _zeta_moment_integral
 _SERIES_BUDGET = 200_000
 
 
@@ -526,13 +528,21 @@ class OracleQuadrature:
     error_bound: mp.mpf
 
 
-def _zeta_moment_integral(sigma, shift, workprec, tol) -> mp.mpc:
-    """int_0^1 t zeta(sigma, shift + t) dt by tanh-sinh (smooth integrand)."""
-    def f(t, dist_a, dist_b):
-        return t * mp.zeta(sigma, shift + t)
+def _zeta_moment_integral(sigma, shift, workprec):
+    """int_0^1 t zeta(sigma, K + t) dt with K = shift, for Re sigma > 2.
 
-    result = tanh_sinh(f, 0, 1, workprec, tolerance=tol, min_level=3, max_level=10)
-    return mp.mpc(result.value)
+    Summed over a = K, K+1, ..., the pieces int_0^1 t (a+t)^-sigma dt
+    telescope to K^(2-sigma) / ((sigma-1)(sigma-2)) - zeta(sigma-1, K+1) /
+    (sigma-1).  Each term is about K^(2-sigma) / sigma^2 in size and the
+    value is below K^-sigma / 2, so the difference is formed with
+    _TAIL_GUARD extra bits.  Returns an mpf for real sigma, else an mpc.
+    """
+    with mp.workprec(workprec + _TAIL_GUARD):
+        k = mp.mpf(shift)
+        value = (k ** (2 - sigma) / ((sigma - 1) * (sigma - 2))
+                 - mp.zeta(sigma - 1, k + 1) / (sigma - 1))
+    with mp.workprec(workprec):
+        return +value
 
 
 def pair_integral_quadrature(
@@ -544,9 +554,12 @@ def pair_integral_quadrature(
     """Direct quadrature of the paired integral, split at unit fractions.
 
     Both halves of (0,1) reduce to sums over intervals [1/(k+1), 1/k] where
-    the integrand is smooth; past k = segments the sum is folded, via the
-    substitution x = 1/(k+t), into integrals of Hurwitz zeta against t dt,
-    with a geometric truncation bound in the expansion order.
+    the integrand is smooth; each is integrated by tanh-sinh for k below
+    `segments`.  Past that the sum is folded, via the substitution
+    x = 1/(k+t), into integrals of Hurwitz zeta against t dt, which are
+    summed exactly (`_zeta_moment_integral`), with a geometric truncation
+    bound in the expansion order.  The error bound adds the segments'
+    error estimates and the truncation bound.
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
@@ -583,8 +596,7 @@ def pair_integral_quadrature(
         # tails: power coefficients of each weight about y = 0
         for m in range(_SERIES_BUDGET):
             sigma = s + m + 2
-            term = _zeta_moment_integral(sigma, k_max, workprec, tol / 16)
-            total += mp.mpf(term.real)
+            total += _zeta_moment_integral(sigma, k_max, workprec)
             cap = (mp.mpf(k_max) ** (-sigma) + mp.mpf(k_max) ** (1 - sigma) / (sigma - 1)) / 2
             if cap < tol / 16:
                 bound += cap * 2
@@ -603,8 +615,7 @@ def pair_integral_quadrature(
             if c == 0 and coefficients is not None:
                 break
             sigma = m + 3
-            term = _zeta_moment_integral(sigma, k_max, workprec, tol / 16)
-            total += c * mp.mpf(term.real)
+            total += c * _zeta_moment_integral(sigma, k_max, workprec)
             cap = abs(mp.mpf(c)) * (
                 mp.mpf(k_max) ** (-sigma) + mp.mpf(k_max) ** (1 - sigma) / (sigma - 1)
             ) / 2
@@ -840,12 +851,13 @@ def _inner_exact(alpha: int, k: int, z, workprec) -> mp.mpc:
         return -((kk + 1) ** (-z)) / z + 2 * g / z
 
 
-def _inner_quadrature(aa, k: int, z, workprec, tol) -> mp.mpc:
+def _inner_quadrature(aa, k: int, z, workprec, tol) -> Tuple[mp.mpc, mp.mpf]:
+    """int_0^1 u^alpha (u+k)^-(s+1) du by tanh-sinh, with its error estimate."""
     def f(u, dist_a, dist_b):
         return dist_a ** aa * (u + k) ** (-(z + 1))
 
     result = tanh_sinh(f, 0, 1, workprec, tolerance=tol, min_level=3)
-    return mp.mpc(result.value)
+    return mp.mpc(result.value), result.error_estimate
 
 
 def numeric_fracpart_oracle(
@@ -887,12 +899,14 @@ def numeric_fracpart_oracle(
         total = mp.mpc(0)
         quad_error = mp.mpf(0)
         for k in range(1, k_sum_terms + 1):
+            weight = mp.mpf(k) ** beta
             if exact_alpha is not None:
                 inner = _inner_exact(exact_alpha, k, z, workprec)
             else:
-                inner = _inner_quadrature(aa, k, z, workprec, tol / (8 * k_sum_terms))
-                quad_error += tol / (8 * k_sum_terms)
-            total += mp.mpf(k) ** beta * inner
+                inner, error = _inner_quadrature(
+                    aa, k, z, workprec, tol / (8 * k_sum_terms))
+                quad_error += weight * error
+            total += weight * inner
 
         # tail over k > k_sum_terms, expanded about u = 1
         shift = k_sum_terms + 2
@@ -943,9 +957,11 @@ def frac_weight_quadrature(
 ) -> OracleQuadrature:
     """Direct quadrature oracle for the weighted transform.
 
-    Unit-fraction splitting up to `segments`, then the same fold as the
-    paired-integral oracle: the k-tail becomes Hurwitz zeta integrals via
-    x = 1/(k+t), with the weight expanded binomially in (k+t)^-b.
+    Tanh-sinh over the unit-fraction segments up to `segments`, then the
+    same fold as the paired-integral oracle: the k-tail becomes Hurwitz
+    zeta integrals via x = 1/(k+t), with the weight expanded binomially in
+    (k+t)^-b, and each of those is summed exactly
+    (`_zeta_moment_integral`).  Only the segments are quadrature.
     """
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
@@ -984,12 +1000,7 @@ def frac_weight_quadrature(
         m = 0
         while True:
             sigma = z + 1 + bb * m
-
-            def f(t, dist_a, dist_b, sigma=sigma):
-                return t * mp.zeta(sigma, segments + t)
-
-            piece = tanh_sinh(f, 0, 1, workprec, tolerance=tol / 16, min_level=3)
-            total += coeff * mp.mpc(piece.value)
+            total += coeff * _zeta_moment_integral(sigma, segments, workprec)
             sig_re = sigma.real
             cap = abs(coeff) * (
                 mp.mpf(segments) ** (-sig_re)

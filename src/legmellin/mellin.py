@@ -373,6 +373,7 @@ class MellinQuadratureResult:
     value: HPComplex
     error_estimate: mp.mpf
     levels_used: int
+    nodes_used: int
 
 
 def mellin_quadrature(
@@ -399,7 +400,8 @@ def mellin_quadrature(
         result = tanh_sinh(integrand, 0, mp.pi / 2, precision_bits,
                            tolerance=tol, min_level=min_level)
         value = _wrap(result.value, precision_bits)
-    return MellinQuadratureResult(value, result.error_estimate, result.levels_used)
+    return MellinQuadratureResult(value, result.error_estimate, result.levels_used,
+                                  result.nodes_used)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,27 @@ distances to both endpoints.  Endpoint-singular factors like cos^(s-1) of
 an angle near pi/2 must be computed from those distances; recovering them
 from x loses everything once the transform pushes nodes exponentially close
 to the boundary.
+
+Nodes depend only on the working precision and the abscissa t, not on the
+interval, so `_unit_node` caches them normalised to half-width 1 in a
+bounded LRU cache; each call scales them by its own half-width.  The
+endpoint distances stay free of cancellation because the cached ones are
+computed directly, never as 1 - x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError
 
 _GUARD = 24
+# a level-7 pass at 160 bits touches about 670 distinct abscissae; an
+# entry holds four mpfs, about 1 KB
+_NODE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -24,6 +34,17 @@ class QuadratureResult:
     error_estimate: mp.mpf   # |last level - previous level|
     levels_used: int
     nodes_used: int
+
+
+@lru_cache(maxsize=_NODE_CACHE_SIZE)
+def _unit_node(workprec: int, t: mp.mpf):
+    """(1 - tanh w, 1 + tanh w, weight) at w = pi/2 sinh t, for half-width 1."""
+    with mp.workprec(workprec):
+        half_pi = mp.pi / 2
+        w = half_pi * mp.sinh(t)
+        e2w = mp.exp(2 * w)
+        sech2 = (2 / (mp.exp(w) + mp.exp(-w))) ** 2
+        return 2 / (e2w + 1), 2 / (1 + 1 / e2w), half_pi * mp.cosh(t) * sech2
 
 
 def tanh_sinh(
@@ -55,16 +76,13 @@ def tanh_sinh(
         tol = mp.mpf(tolerance) if tolerance is not None else mp.mpf(2) ** (-precision_bits)
         # abscissa cutoff: weights decay like exp(-pi/2 * sinh t)
         t_max = mp.asinh((mp.mpf(2) / mp.pi) * mp.log(2) * (workprec + 16))
-        half_pi = mp.pi / 2
 
         def node_sum(t):
             # contributions of +t and -t (or just t = 0 once)
-            w = half_pi * mp.sinh(t)
-            e2w = mp.exp(2 * w)
-            dist_hi = half * 2 / (e2w + 1)          # half*(1 - tanh w)
-            dist_lo = half * 2 / (1 + 1 / e2w)      # half*(1 + tanh w)
-            sech2 = (2 / (mp.exp(w) + mp.exp(-w))) ** 2
-            weight = half * half_pi * mp.cosh(t) * sech2
+            unit_hi, unit_lo, unit_weight = _unit_node(workprec, t)
+            dist_hi = half * unit_hi          # half*(1 - tanh w)
+            dist_lo = half * unit_lo          # half*(1 + tanh w)
+            weight = half * unit_weight
             if t == 0:
                 return weight * f(a + dist_lo, dist_lo, dist_hi)
             v_plus = f(b - dist_hi, dist_lo, dist_hi)

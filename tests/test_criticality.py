@@ -146,6 +146,20 @@ def test_double_root_on_the_line_refused():
         find_roots(p, 512)
 
 
+@pytest.mark.parametrize("bits", [128, 192, 256])
+@pytest.mark.parametrize("p", [
+    # (s - 1/2)^2 (s^2 - s + 5/4): symmetric, so the exact route declines first
+    RationalPolynomial([Fraction(1, 4), -1, 1]) * RationalPolynomial([Fraction(5, 4), -1, 1]),
+    # (s - 2)^2 (s + 3): no symmetry, straight to Aberth
+    RationalPolynomial([-2, 1]) * RationalPolynomial([-2, 1]) * RationalPolynomial([3, 1]),
+], ids=["on-the-line", "real"])
+def test_aberth_refuses_a_double_root(p, bits):
+    # the two copies of the double root settle about the square root of the
+    # working precision apart, where the computed p is rounding noise
+    with pytest.raises(ConvergenceError):
+        find_roots(p, bits)
+
+
 @given(st.lists(st.fractions(min_value=Fraction(1, 16), max_value=64, max_denominator=16),
                 min_size=1, max_size=6, unique=True),
        st.booleans(), st.sampled_from([128, 256]))

@@ -1,16 +1,19 @@
 """Fractional-part transforms: zeta combinations, boundary limits, the
 paired integral, and the alternating/direct series transforms."""
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from legmellin import fracpart
 from legmellin.errors import DomainError, PoleError
 from legmellin.fracpart import (
     FracIntegralSpec,
     SublemmaState,
     TransformKind,
+    _zeta_moment_integral,
     alpha_one_limit,
     fermi_bose_transform,
     frac_basic,
@@ -21,12 +24,14 @@ from legmellin.fracpart import (
     moment_boundary_value,
     moment_combination,
     numeric_fracpart_oracle,
+    pair_integral_quadrature,
     pair_integral_report,
     richardson_extrapolate,
     sublemma_sum,
     sublemma_sum_series,
 )
 from legmellin.mpcore import HPComplex, RationalPolynomial
+from legmellin.quadrature import tanh_sinh
 
 
 def _near(value: HPComplex, want, prec, slack=40) -> bool:
@@ -100,6 +105,21 @@ def test_moments_match_oracle():
             assert diff <= max(8 * oracle.error_bound, mp.mpf(10) ** -40)
 
 
+def test_oracle_bound_counts_inner_quadrature_error(monkeypatch):
+    # non-integer alpha takes the inner integrals by quadrature; the bound
+    # must carry each one's own error estimate times its weight k^beta
+    reported = mp.mpf(10) ** -20
+
+    def loose(*args, **kwargs):
+        return dataclasses.replace(tanh_sinh(*args, **kwargs), error_estimate=reported)
+
+    monkeypatch.setattr(fracpart, "tanh_sinh", loose)
+    oracle = numeric_fracpart_oracle(
+        FracIntegralSpec(Fraction(1, 3), 2, Fraction(9, 2)), precision_bits=96)
+    inner = reported * sum(k ** 2 for k in range(1, 41))  # the 40-term k-sum
+    assert inner <= oracle.error_bound <= inner + mp.mpf(2) ** -80
+
+
 def test_oracle_sandwich_brackets_value():
     spec = FracIntegralSpec(1, 1, Fraction(3))
     oracle = numeric_fracpart_oracle(spec, precision_bits=128)
@@ -165,6 +185,37 @@ def test_weighted_transform_against_quadrature():
     with mp.workprec(160):
         diff = abs(got.to_mpc() - quad.value.to_mpc())
         assert diff <= max(8 * quad.error_bound, mp.mpf(10) ** -15)
+
+
+_TAIL_SIGMAS = [3, 4, 7, 20, 40, mp.mpc(3, 2), mp.mpc(mp.mpf(9) / 2, mp.mpf(1) / 3)]
+
+
+@pytest.mark.parametrize("shift", [12, 20])
+@pytest.mark.parametrize("sigma", _TAIL_SIGMAS, ids=str)
+def test_exact_tail_integral_matches_quadrature(sigma, shift):
+    # absolute, not relative: at integer sigma and shift mpmath's Hurwitz
+    # zeta has an absolute but not a relative error near 2^-prec
+    prec = 88
+    got = _zeta_moment_integral(sigma, shift, prec)
+    with mp.workprec(2 * prec):
+        want = mp.quad(lambda t: t * mp.zeta(sigma, shift + t), [0, 1])
+        assert abs(got - want) <= mp.mpf(2) ** -prec
+
+
+@pytest.mark.parametrize("segments", [6, 12])
+def test_oracle_tails_take_no_quadrature(monkeypatch, segments):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tanh_sinh(*args, **kwargs)
+
+    monkeypatch.setattr(fracpart, "tanh_sinh", counting)
+    pair_integral_quadrature(2, 64, segments=segments)
+    assert len(calls) == 2 * (segments - 2)
+    calls.clear()
+    frac_weight_quadrature(Fraction(3), 3, Fraction(1, 4), 64, segments=segments)
+    assert len(calls) == segments - 1
 
 
 def test_alpha_to_one_limit_is_euler_gamma():

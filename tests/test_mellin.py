@@ -216,6 +216,7 @@ def test_quadrature_matches_closed_form():
     res = mellin_quadrature(2, 0, Fraction(1), 128, tolerance=mp.mpf(10) ** -30,
                             min_level=10)
     assert res.levels_used >= 10
+    assert res.nodes_used > 0
     with mp.workprec(200):
         assert abs(res.value.to_mpc() - mp.pi / 8) < mp.mpf(10) ** -28
 

@@ -1,8 +1,10 @@
-"""tanh-sinh integration, including endpoint-singular integrands."""
+"""tanh-sinh integration, including endpoint-singular integrands, and the
+node cache."""
 
 import mpmath as mp
 import pytest
 
+from legmellin import quadrature
 from legmellin.errors import ConvergenceError, DomainError
 from legmellin.quadrature import tanh_sinh
 
@@ -59,3 +61,49 @@ def test_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError):
         tanh_sinh(lambda x, da, db: mp.sin(x), 0, 1, 96,
                   tolerance=mp.mpf(10) ** -80, max_level=4)
+
+
+# ---------------------------------------------------------------------------
+# node cache
+
+def _sine(x, da, db):
+    return mp.sin(x)
+
+
+def _cold(f, a, b, prec):
+    quadrature._unit_node.cache_clear()
+    return tanh_sinh(f, a, b, prec)
+
+
+def test_warm_call_repeats_cold_call():
+    cold = _cold(_sine, 0, 3, 128)
+    assert quadrature._unit_node.cache_info().currsize > 0
+    warm = tanh_sinh(_sine, 0, 3, 128)
+    assert quadrature._unit_node.cache_info().hits > 0
+    assert warm == cold
+
+
+def test_interleaved_precisions_match_cold_runs():
+    calls = [(_sine, 0, 3, 96), (_sine, 0, 3, 160),
+             (lambda x, da, db: mp.exp(-x * x), -2, 5, 96),
+             (lambda x, da, db: mp.log1p(x), 1, 7, 160)]
+    cold = [_cold(*call) for call in calls]
+    quadrature._unit_node.cache_clear()
+    interleaved = [tanh_sinh(*call) for call in calls + calls]
+    assert interleaved == cold + cold
+
+
+def test_singular_integrand_after_warming_elsewhere():
+    tanh_sinh(_sine, -1, 5, 160)
+    res = tanh_sinh(lambda x, da, db: 1 / mp.sqrt(da), 0, 1, 160)
+    with mp.workprec(200):
+        assert abs(res.value - 2) < _tol(160)
+
+
+@pytest.mark.parametrize("a, b, prec, levels, nodes", [
+    (0, 1, 128, 5, 343), (-1, 3, 96, 5, 331), (2, 5, 96, 5, 331)])
+def test_node_counts_do_not_depend_on_the_cache(a, b, prec, levels, nodes):
+    # counts of the uncached implementation, for int_a^b sin x dx
+    for _ in range(2):
+        res = tanh_sinh(_sine, a, b, prec)
+        assert (res.levels_used, res.nodes_used) == (levels, nodes)

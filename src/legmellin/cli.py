@@ -23,7 +23,7 @@ from .criticality import critical_line_report
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from .fracpart import frac_general
 from .mellin import genfun, mellin_closed, poly_factor
-from .mpcore import DEFAULT_PRECISION, GaussianRational, HPComplex, MIN_PRECISION
+from .mpcore import DEFAULT_PRECISION, MIN_PRECISION, GaussianRational, as_rational
 from .suites import (
     SUITE_NAMES,
     OutputFormat,
@@ -40,13 +40,6 @@ PRECISION_ENV_VAR = "LEGMELLIN_PRECISION_BITS"
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot read {text!r} as a rational number") from exc
-
-
 def _imag_split(body: str) -> int:
     # rightmost sign that is not an exponent sign
     for idx in range(len(body) - 1, 0, -1):
@@ -61,7 +54,7 @@ def _parse_scalar(text: str, precision_bits: int):
     if not cleaned:
         raise DomainError("empty numeric argument")
     if cleaned[-1] not in "ij":
-        return _parse_rational(cleaned)
+        return as_rational(cleaned)
     body = cleaned[:-1]
     cut = _imag_split(body)
     if cut < 0:
@@ -70,7 +63,7 @@ def _parse_scalar(text: str, precision_bits: int):
         re_part, im_part = body[:cut], body[cut:]
     if im_part in ("+", "-"):
         im_part += "1"
-    g = GaussianRational(_parse_rational(re_part), _parse_rational(im_part))
+    g = GaussianRational(re_part, im_part)
     return g.to_hpcomplex(precision_bits)
 
 
@@ -186,8 +179,8 @@ def _cmd_genfun(args: argparse.Namespace) -> int:
 def _cmd_fracpart(args: argparse.Namespace) -> int:
     prec = _resolve_precision(args.precision)
     s = _parse_scalar(args.s, prec)
-    b = _parse_rational(args.b)
-    alpha = _parse_rational(args.alpha)
+    b = as_rational(args.b)
+    alpha = as_rational(args.alpha)
     value = frac_general(s, b, alpha, prec)
     payload = {
         "s": args.s,

@@ -22,6 +22,7 @@ disagree for m = 2 (mod 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -36,9 +37,11 @@ from .mpcore import (
     HPComplex,
     RationalPolynomial,
     as_rational,
+    exact_or_none,
     poly_affine_substitute,
     poly_structural_equal,
     rational_to_mpf,
+    to_mpc,
 )
 from .specfun import HypergeometricSpec, hyp_pfq, hyp_terminating_exact
 
@@ -264,7 +267,7 @@ def _aberth_roots(p: RationalPolynomial, precision_bits: int) -> List[HPComplex]
                     )
 
         z.sort(key=lambda r: (r.imag, r.real))
-        return [HPComplex(r.real, r.imag, precision_bits) for r in z]
+        return [HPComplex.from_value(r, precision_bits) for r in z]
 
 
 def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -> List[HPComplex]:
@@ -379,13 +382,7 @@ def difference_equation_terms(n: int, s, m: int = 0,
     magnitude is the natural scale for the residual."""
     workprec = precision_bits + 16
     with mp.workprec(workprec + _GUARD):
-        if isinstance(s, HPComplex):
-            z = s.to_mpc()
-        elif isinstance(s, (int, Fraction)) or isinstance(s, str):
-            q = as_rational(s)
-            z = mp.mpf(q.numerator) / q.denominator
-        else:
-            z = mp.mpc(s)
+        z = to_mpc(s, workprec + _GUARD)
         if not z.real > 2:
             raise DomainError("all three transforms need Re s - 2 > 0")
         A, B, C = _coefficient_polys(n, m)
@@ -439,26 +436,6 @@ class HahnParams:
     d: object
 
 
-def _as_gaussian(value) -> Optional[GaussianRational]:
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    if isinstance(value, str):
-        return GaussianRational(as_rational(value))
-    return None
-
-
-def _any_to_mpc(value, workprec: int) -> mp.mpc:
-    if isinstance(value, HPComplex):
-        return value.to_mpc()
-    g = _as_gaussian(value)
-    if g is not None:
-        return g.to_mpc(workprec)
-    with mp.workprec(workprec):
-        return mp.mpc(value)
-
-
 def _pochhammer_gaussian(g: GaussianRational, k: int) -> GaussianRational:
     out = GaussianRational(1)
     for i in range(k):
@@ -471,8 +448,8 @@ def hahn_eval_exact(n: int, x, params: HahnParams) -> GaussianRational:
     3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1), summed exactly."""
     if n < 0:
         raise DomainError("hahn_eval requires n >= 0")
-    ga, gb, gc, gd = (_as_gaussian(v) for v in (params.a, params.b, params.c, params.d))
-    gx = _as_gaussian(x)
+    ga, gb, gc, gd = (exact_or_none(v) for v in (params.a, params.b, params.c, params.d))
+    gx = exact_or_none(x)
     if None in (ga, gb, gc, gd, gx):
         raise DomainError("exact evaluation needs Gaussian-rational inputs")
     i_unit = GaussianRational(0, 1)
@@ -480,25 +457,22 @@ def hahn_eval_exact(n: int, x, params: HahnParams) -> GaussianRational:
     series = hyp_terminating_exact(HypergeometricSpec(
         (GaussianRational(-n), ga + gb + gc + gd + (n - 1), a_plus_ix),
         (ga + gc, ga + gd), GaussianRational(1)))
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
     lead = GaussianRational.i_power(n) * _pochhammer_gaussian(ga + gc, n) \
-        * _pochhammer_gaussian(ga + gd, n) / fact
+        * _pochhammer_gaussian(ga + gd, n) / math.factorial(n)
     return lead * series
 
 
 def hahn_eval(n: int, x, params: HahnParams,
               precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-    exactable = all(_as_gaussian(v) is not None
+    exactable = all(exact_or_none(v) is not None
                     for v in (params.a, params.b, params.c, params.d)) \
-        and _as_gaussian(x) is not None
+        and exact_or_none(x) is not None
     if exactable:
         return hahn_eval_exact(n, x, params).to_hpcomplex(precision_bits)
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
-        xa = _any_to_mpc(x, workprec)
-        pa, pb, pc, pd = (_any_to_mpc(v, workprec)
+        xa = to_mpc(x, workprec)
+        pa, pb, pc, pd = (to_mpc(v, workprec)
                           for v in (params.a, params.b, params.c, params.d))
         series = hyp_pfq(HypergeometricSpec(
             (-n, pa + pb + pc + pd + (n - 1), pa + mp.mpc(0, 1) * xa),
@@ -516,7 +490,7 @@ def _bridge_params(n: int) -> HahnParams:
 
 def _bridge_point(s) -> GaussianRational:
     """x = -i s / 2 for Gaussian-rational s."""
-    g = _as_gaussian(s)
+    g = exact_or_none(s)
     if g is None:
         raise DomainError("exact bridge point needs a Gaussian-rational s")
     return GaussianRational(0, Fraction(-1, 2)) * g
@@ -533,10 +507,10 @@ def hahn_proportionality(n: int, samples: Sequence,
     p = poly_factor(2 * n, 0).poly
     params = _bridge_params(n)
     ratios = []
-    exact_ok = all(_as_gaussian(x) is not None for x in samples)
+    exact_ok = all(exact_or_none(x) is not None for x in samples)
     if exact_ok:
         for s in samples:
-            g = _as_gaussian(s)
+            g = exact_or_none(s)
             denom = hahn_eval_exact(n, _bridge_point(g), params)
             if denom.is_zero:
                 raise DomainError(f"sample {s} is a zero of the Hahn factor")
@@ -547,7 +521,7 @@ def hahn_proportionality(n: int, samples: Sequence,
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
         for s in samples:
-            z = s.to_mpc() if isinstance(s, HPComplex) else mp.mpc(s)
+            z = to_mpc(s, workprec)
             denom = hahn_eval(n, mp.mpc(0, -1) * z / 2, params, precision_bits + 16)
             dv = denom.to_mpc()
             if dv == 0:

@@ -30,49 +30,23 @@ from mpmath import mp
 from .errors import ConvergenceError, DomainError, PoleError
 from .mpcore import (
     DEFAULT_PRECISION,
+    GUARD_BITS,
     HPComplex,
     RationalPolynomial,
+    exact_or_none,
     rational_to_mpf,
+    to_mpc,
 )
 from .quadrature import tanh_sinh
 
-_GUARD = 24
 _TAIL_GUARD = 64  # for the cancelling terms of _zeta_moment_integral
 _SERIES_BUDGET = 200_000
 
 
-def _to_mpc(value, precision_bits: int) -> mp.mpc:
-    if isinstance(value, HPComplex):
-        return value.to_mpc()
-    with mp.workprec(precision_bits):
-        if isinstance(value, Fraction):
-            return mp.mpc(rational_to_mpf(value, precision_bits))
-        return mp.mpc(value)
-
-
-def _wrap(value, precision_bits: int) -> HPComplex:
-    # conversion must not round at the ambient context precision
-    with mp.workprec(precision_bits + _GUARD):
-        value = mp.mpc(value)
-    return HPComplex(value.real, value.imag, precision_bits)
-
-
 def _rational_or_none(value) -> Optional[Fraction]:
     """Exact real-rational reading of value, or None."""
-    if isinstance(value, HPComplex):
-        if value.imag != 0:
-            return None
-        value = value.real
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, float) and value == int(value):
-        return Fraction(int(value))
-    if isinstance(value, mp.mpf) and mp.isint(value):
-        return Fraction(int(value))
-    if isinstance(value, (complex, mp.mpc)):
-        if value.imag == 0:
-            return _rational_or_none(value.real)
-    return None
+    g = exact_or_none(value)
+    return g.re if g is not None and g.im == 0 else None
 
 
 def _default_tolerance(precision_bits: int) -> mp.mpf:
@@ -100,16 +74,16 @@ class FracIntegralSpec:
     def __post_init__(self):
         if not isinstance(self.beta, int) or self.beta < 0:
             raise DomainError("beta must be a nonnegative integer")
-        a = _to_mpc(self.alpha, DEFAULT_PRECISION)
+        a = to_mpc(self.alpha, DEFAULT_PRECISION)
         if not a.real > -1:
             raise DomainError("the fractional-part exponent needs Re alpha > -1")
-        s = _to_mpc(self.s, DEFAULT_PRECISION)
+        s = to_mpc(self.s, DEFAULT_PRECISION)
         if not s.real > self.beta:
             raise DomainError(f"need Re s > beta = {self.beta}")
-        b = _to_mpc(self.b, DEFAULT_PRECISION)
+        b = to_mpc(self.b, DEFAULT_PRECISION)
         if b.imag != 0 or not b.real > 0:
             raise DomainError("b must be a positive real")
-        w = _to_mpc(self.alpha_denom, DEFAULT_PRECISION)
+        w = to_mpc(self.alpha_denom, DEFAULT_PRECISION)
         if not (0 <= w.real < 1):
             raise DomainError("the weight exponent needs 0 <= Re alpha_denom < 1")
 
@@ -140,10 +114,10 @@ class ZetaCombination:
         return RationalPolynomial.zero()
 
     def evaluate(self, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-        workprec = precision_bits + _GUARD
+        workprec = precision_bits + GUARD_BITS
         sr = _rational_or_none(s)
         with mp.workprec(workprec):
-            z = _to_mpc(s, workprec)
+            z = to_mpc(s, workprec)
             if sr is not None:
                 den_exact = self.denominator.eval_rational(sr)
                 if den_exact == 0:
@@ -164,7 +138,7 @@ class ZetaCombination:
                     total += nj.derivative().eval_mpc(z, workprec)
                 else:
                     total += nj.eval_mpc(z, workprec) * mp.zeta(z - j)
-            return _wrap(total / den, precision_bits)
+            return HPComplex.from_value(total / den, precision_bits)
 
 
 def _poly(*ascending) -> RationalPolynomial:
@@ -237,7 +211,7 @@ def frac_int_moments(
     br = _rational_or_none(spec.b)
     if br != 1 or _rational_or_none(spec.alpha_denom) != 0:
         raise DomainError("closed moments cover b = 1 with no denominator weight")
-    z = _to_mpc(spec.s, precision_bits + _GUARD)
+    z = to_mpc(spec.s, precision_bits + GUARD_BITS)
     if alpha == 2 and not z.real > spec.beta + 1:
         raise DomainError(f"need Re s > beta + 1 = {spec.beta + 1}")
     combo = moment_combination(alpha, spec.beta)
@@ -258,7 +232,7 @@ def moment_boundary_value(
     if not isinstance(beta, int) or beta < 1:
         raise DomainError("boundary formulas need an integer-part exponent >= 1")
     n = beta
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         if alpha == 1:
             acc = mp.mpf(-1)
@@ -279,7 +253,7 @@ def moment_boundary_value(
             acc -= n * (n - 1) * mp.zeta(2)
             acc += -(n ** 2) * (n + 1) * mp.zeta(3)
             value = -acc / (n * (n + 1) * (n + 2))
-        return _wrap(value, precision_bits)
+        return HPComplex.from_value(value, precision_bits)
 
 
 def richardson_extrapolate(values, precision_bits: int = DEFAULT_PRECISION) -> mp.mpc:
@@ -291,8 +265,8 @@ def richardson_extrapolate(values, precision_bits: int = DEFAULT_PRECISION) -> m
     """
     if len(values) < 2:
         raise DomainError("extrapolation needs at least two samples")
-    with mp.workprec(precision_bits + _GUARD):
-        column = [_to_mpc(v, precision_bits + _GUARD) for v in values]
+    with mp.workprec(precision_bits + GUARD_BITS):
+        column = [to_mpc(v, precision_bits + GUARD_BITS) for v in values]
         order = 0
         while len(column) > 1:
             order += 1
@@ -309,12 +283,12 @@ def richardson_extrapolate(values, precision_bits: int = DEFAULT_PRECISION) -> m
 
 def frac_basic(s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """int_0^1 {1/t} t^(s-1) dt = 1/(s-1) - zeta(s)/s, for Re s > 1."""
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
-        z = _to_mpc(s, workprec)
+        z = to_mpc(s, workprec)
         if not z.real > 1:
             raise DomainError("need Re s > 1 (the s = 1 cancellation is not taken)")
-        return _wrap(1 / (z - 1) - mp.zeta(z) / z, precision_bits)
+        return HPComplex.from_value(1 / (z - 1) - mp.zeta(z) / z, precision_bits)
 
 
 def frac_general(
@@ -331,14 +305,14 @@ def frac_general(
     converges geometrically in i.  alpha = 0 collapses exactly to
     frac_basic.  The alpha -> 1 endpoint lives in alpha_one_limit.
     """
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     ar = _rational_or_none(alpha)
     if ar == 0:
         return frac_basic(s, precision_bits)
     with mp.workprec(workprec):
-        z = _to_mpc(s, workprec)
-        bb = _to_mpc(b, workprec)
-        aa = _to_mpc(alpha, workprec)
+        z = to_mpc(s, workprec)
+        bb = to_mpc(b, workprec)
+        aa = to_mpc(alpha, workprec)
         if not z.real > 1:
             raise DomainError("need Re s > 1")
         if bb.imag != 0 or not bb.real > 0:
@@ -367,7 +341,7 @@ def frac_general(
             c *= (aa + i) * (ratio + i) / ((1 + ratio + i) * (i + 1))
         else:
             raise ConvergenceError("weighted transform series exhausted its budget")
-        return _wrap(leading - jsum / z, precision_bits)
+        return HPComplex.from_value(leading - jsum / z, precision_bits)
 
 
 def alpha_one_limit(s, b=1, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
@@ -381,10 +355,10 @@ def alpha_one_limit(s, b=1, precision_bits: int = DEFAULT_PRECISION) -> HPComple
 
     At s = 2, b = 1 this telescopes to the Euler constant.
     """
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
-        z = _to_mpc(s, workprec)
-        bb = _to_mpc(b, workprec)
+        z = to_mpc(s, workprec)
+        bb = to_mpc(b, workprec)
         if not z.real > 1:
             raise DomainError("need Re s > 1")
         if bb.imag != 0 or not bb.real > 0:
@@ -403,7 +377,7 @@ def alpha_one_limit(s, b=1, precision_bits: int = DEFAULT_PRECISION) -> HPComple
             prev = size
         else:
             raise ConvergenceError("endpoint series exhausted its budget")
-        return _wrap(total / bb, precision_bits)
+        return HPComplex.from_value(total / bb, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +393,20 @@ class SublemmaState:
     def __post_init__(self):
         if not isinstance(self.order, int) or self.order < 1:
             raise DomainError("order must be a positive integer")
-        uu = _to_mpc(self.u, DEFAULT_PRECISION)
+        uu = to_mpc(self.u, DEFAULT_PRECISION)
         if not uu.real > -1:
             raise DomainError("need Re u > -1")
 
 
 def sublemma_sum(state: SublemmaState, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """Telescoped closed form 1/(1+u) - sum_{k=0}^{n-1} zeta(k+2, u+2)."""
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
-        uu = _to_mpc(state.u, workprec)
+        uu = to_mpc(state.u, workprec)
         value = 1 / (1 + uu)
         for k in range(state.order):
             value -= mp.zeta(k + 2, uu + 2)
-        return _wrap(value, precision_bits)
+        return HPComplex.from_value(value, precision_bits)
 
 
 def sublemma_sum_series(
@@ -447,12 +421,12 @@ def sublemma_sum_series(
     1/(u+k), turning the remainder into Hurwitz zetas with geometric decay
     in the expansion order.  Independent of the telescoped closed form.
     """
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     n = state.order
     if head_terms < 4:
         raise DomainError("need a head of at least 4 terms")
     with mp.workprec(workprec):
-        uu = _to_mpc(state.u, workprec)
+        uu = to_mpc(state.u, workprec)
         tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
         total = mp.mpc(0)
         for k in range(2, head_terms + 1):
@@ -462,7 +436,7 @@ def sublemma_sum_series(
             term = mp.zeta(n + 2 + m, shift)
             total += term
             if abs(term) < tol / 4:
-                return _wrap(total, precision_bits)
+                return HPComplex.from_value(total, precision_bits)
         raise ConvergenceError("shifted power sum exhausted its budget")
 
 
@@ -515,11 +489,11 @@ def frac_pair_integral(s: int, precision_bits: int = DEFAULT_PRECISION) -> HPCom
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     tol = _default_tolerance(precision_bits)
     with mp.workprec(workprec):
         value = _pair_main_term(s, workprec) + _pair_correction(s, workprec, tol)
-        return _wrap(value, precision_bits)
+        return HPComplex.from_value(value, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -565,7 +539,7 @@ def pair_integral_quadrature(
         raise DomainError("the paired integral is implemented for integer s >= 1")
     if segments < 3:
         raise DomainError("need at least 3 unit-fraction segments")
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
         k_max = segments
@@ -626,7 +600,7 @@ def pair_integral_quadrature(
             if m > _SERIES_BUDGET:
                 raise ConvergenceError("tail expansion exhausted its budget")
         return OracleQuadrature(
-            value=_wrap(total, precision_bits), error_bound=mp.mpf(bound)
+            value=HPComplex.from_value(total, precision_bits), error_bound=mp.mpf(bound)
         )
 
 
@@ -645,7 +619,7 @@ def pair_integral_report(
 ) -> PairIntegralReport:
     closed = frac_pair_integral(s, precision_bits)
     quad = pair_integral_quadrature(s, precision_bits, tolerance=tolerance)
-    with mp.workprec(precision_bits + _GUARD):
+    with mp.workprec(precision_bits + GUARD_BITS):
         diff = abs(closed.to_mpc() - quad.value.to_mpc())
     return PairIntegralReport(
         closed=closed,
@@ -778,9 +752,9 @@ def fermi_bose_transform(
         raise DomainError("j must be a positive integer")
     if not isinstance(kind, TransformKind):
         raise DomainError(f"unknown transform kind: {kind!r}")
-    workprec = precision_bits + 2 * _GUARD
+    workprec = precision_bits + 2 * GUARD_BITS
     with mp.workprec(workprec):
-        z = _to_mpc(s, workprec)
+        z = to_mpc(s, workprec)
         if kind is TransformKind.BOSE and not z.real > j - 1:
             raise DomainError(f"direct series needs Re s > {j - 1}")
         if kind is TransformKind.FERMI and not z.real > j - 2:
@@ -817,9 +791,9 @@ def fermi_bose_transform(
         return FermiBoseResult(
             kind=kind,
             j=j,
-            s=_wrap(z, precision_bits),
-            series_value=_wrap(series, precision_bits),
-            closed_value=_wrap(closed, precision_bits),
+            s=HPComplex.from_value(z, precision_bits),
+            series_value=HPComplex.from_value(series, precision_bits),
+            closed_value=HPComplex.from_value(closed, precision_bits),
             difference=abs(mp.mpc(series) - mp.mpc(closed)),
             precision_bits=precision_bits,
         )
@@ -878,11 +852,11 @@ def numeric_fracpart_oracle(
             "the k-sum oracle covers b = 1 without the denominator weight; "
             "use frac_weight_quadrature for the weighted transform"
         )
-    workprec = precision_bits + 2 * _GUARD
+    workprec = precision_bits + 2 * GUARD_BITS
     beta = spec.beta
     with mp.workprec(workprec):
-        z = _to_mpc(spec.s, workprec)
-        aa = _to_mpc(spec.alpha, workprec)
+        z = to_mpc(spec.s, workprec)
+        aa = to_mpc(spec.alpha, workprec)
         if not z.real > beta + max(0, aa.real - 1):
             raise DomainError("oracle needs Re s > beta + max(0, Re alpha - 1)")
         tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
@@ -939,7 +913,7 @@ def numeric_fracpart_oracle(
             lower = lo / (aa.real + 1)
             upper = mp.zeta(z.real + 1 - beta) / (aa.real + 1)
         return FracOracleResult(
-            value=_wrap(total, precision_bits),
+            value=HPComplex.from_value(total, precision_bits),
             error_bound=mp.mpf(tail_bound + quad_error),
             lower=lower,
             upper=upper,
@@ -963,11 +937,11 @@ def frac_weight_quadrature(
     (k+t)^-b, and each of those is summed exactly
     (`_zeta_moment_integral`).  Only the segments are quadrature.
     """
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
-        z = _to_mpc(s, workprec)
-        bb = _to_mpc(b, workprec)
-        aa = _to_mpc(alpha, workprec)
+        z = to_mpc(s, workprec)
+        bb = to_mpc(b, workprec)
+        aa = to_mpc(alpha, workprec)
         if not z.real > 1:
             raise DomainError("need Re s > 1")
         if bb.imag != 0 or not bb.real > 0:
@@ -1014,5 +988,5 @@ def frac_weight_quadrature(
             if m > _SERIES_BUDGET:
                 raise ConvergenceError("weight tail expansion exhausted its budget")
         return OracleQuadrature(
-            value=_wrap(total, precision_bits), error_bound=mp.mpf(bound)
+            value=HPComplex.from_value(total, precision_bits), error_bound=mp.mpf(bound)
         )

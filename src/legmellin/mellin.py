@@ -20,10 +20,12 @@ import mpmath as mp
 from .errors import DomainError
 from .mpcore import (
     DEFAULT_PRECISION,
+    GUARD_BITS,
     GaussianRational,
     HPComplex,
     RationalPolynomial,
     as_rational,
+    to_mpc,
 )
 from .quadrature import tanh_sinh
 from .specfun import (
@@ -34,29 +36,9 @@ from .specfun import (
     pochhammer_rational,
 )
 
-_GUARD = 24
-
-
-def _to_mpc(value, workprec: int) -> mp.mpc:
-    if isinstance(value, HPComplex):
-        return value.to_mpc()
-    if isinstance(value, GaussianRational):
-        return value.to_mpc(workprec)
-    with mp.workprec(workprec):
-        if isinstance(value, Fraction):
-            return mp.mpc(mp.mpf(value.numerator) / value.denominator)
-        return mp.mpc(value)
-
-
-def _wrap(value, precision_bits: int) -> HPComplex:
-    # conversion must not round at the ambient context precision
-    with mp.workprec(precision_bits + _GUARD):
-        value = mp.mpc(value)
-    return HPComplex(value.real, value.imag, precision_bits)
-
 
 def _require_right_half_plane(s, workprec: int) -> mp.mpc:
-    z = _to_mpc(s, workprec)
+    z = to_mpc(s, workprec)
     if not z.real > 0:
         raise DomainError(f"transform defined for Re s > 0, got {z}")
     return z
@@ -85,16 +67,16 @@ class GammaPrefactor:
             raise DomainError("epsilon must be 0 or 1")
 
     def evaluate(self, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-        workprec = precision_bits + _GUARD
+        workprec = precision_bits + GUARD_BITS
         with mp.workprec(workprec):
-            z = _to_mpc(s, workprec)
+            z = to_mpc(s, workprec)
             value = (
                 mp.sqrt(mp.pi) ** self.sqrt_pi_power
                 * mp.power(2, self.two_power_exponent)
                 * mp.gamma((z + self.numerator_shift) / 2)
                 * mp.rgamma((z + self.denominator_shift) / 2)
             )
-        return _wrap(value, precision_bits)
+        return HPComplex.from_value(value, precision_bits)
 
 
 @dataclass(frozen=True)
@@ -107,10 +89,10 @@ class MellinClosedForm:
     def evaluate(self, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
         pref = self.prefactor.evaluate(s, precision_bits + 8)
         sval = pref.to_mpc()
-        with mp.workprec(precision_bits + _GUARD):
-            z = _to_mpc(s, precision_bits + _GUARD)
+        with mp.workprec(precision_bits + GUARD_BITS):
+            z = to_mpc(s, precision_bits + GUARD_BITS)
             value = sval * self.poly.eval_mpc(z, precision_bits + 8)
-        return _wrap(value, precision_bits)
+        return HPComplex.from_value(value, precision_bits)
 
 
 # integer coefficient lists with one shared denominator; one gcd reduction
@@ -287,11 +269,11 @@ def mellin_recursion_reference(n: int, m: int, s,
         raise DomainError("requires n >= 0 and m >= 0")
     if m > n:
         return HPComplex(0, 0, precision_bits)
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     z = _require_right_half_plane(s, workprec)
     with mp.workprec(workprec):
         if m % 2 == 1:
-            return _wrap(_odd_order_float(n, m, z), precision_bits)
+            return HPComplex.from_value(_odd_order_float(n, m, z), precision_bits)
         lead = double_factorial(2 * m - 1) * double_factorial(m - 1) \
             * mp.sqrt(mp.pi) / mp.power(2, m // 2 + 1)
 
@@ -299,7 +281,7 @@ def mellin_recursion_reference(n: int, m: int, s,
             sv = z + shift
             return lead * mp.gamma(sv / 2) * mp.rgamma((sv + m + 1) / 2)
 
-        return _wrap(_degree_walk(n, m, seed), precision_bits)
+        return HPComplex.from_value(_degree_walk(n, m, seed), precision_bits)
 
 
 def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
@@ -307,7 +289,7 @@ def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) ->
     degree recursion for odd m; exact 0 for m > n."""
     if n < 0 or m < 0:
         raise DomainError("mellin_closed requires n >= 0 and m >= 0")
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     _require_right_half_plane(s, workprec)
     if m > n:
         return HPComplex(0, 0, precision_bits)
@@ -319,12 +301,13 @@ def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) ->
     if rational is not None:
         exact = _odd_order_exact(n, m, as_rational(rational))
         with mp.workprec(workprec):
-            return _wrap(mp.mpf(exact.numerator) / exact.denominator, precision_bits)
+            value = mp.mpf(exact.numerator) / exact.denominator
+        return HPComplex.from_value(value, precision_bits)
     # the float walk loses up to about 1.25 bits per degree
     workprec += (3 * n) // 2
     with mp.workprec(workprec):
-        z = _to_mpc(s, workprec)
-        return _wrap(_odd_order_float(n, m, z), precision_bits)
+        z = to_mpc(s, workprec)
+        return HPComplex.from_value(_odd_order_float(n, m, z), precision_bits)
 
 
 def mellin_odd_order_exact(n: int, m: int, s) -> Fraction:
@@ -348,9 +331,9 @@ def special_value_at_1(n: int, precision_bits: int = DEFAULT_PRECISION) -> HPCom
     if n < 0 or n % 2 != 0:
         raise DomainError("special value formula is valid for even n only")
     coeff = special_value_at_1_rational(n)
-    with mp.workprec(precision_bits + _GUARD):
+    with mp.workprec(precision_bits + GUARD_BITS):
         value = mp.pi * mp.mpf(coeff.numerator) / coeff.denominator
-    return _wrap(value, precision_bits)
+    return HPComplex.from_value(value, precision_bits)
 
 
 def special_value_at_1_rational(n: int) -> Fraction:
@@ -387,7 +370,7 @@ def mellin_quadrature(
     """Tanh-sinh quadrature of the defining integral in the theta variable,
     int_0^{pi/2} cos^{s-1}(theta) P_n^m(cos theta) d(theta); the square-root
     endpoint factor of the x form is absorbed by the substitution."""
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     z = _require_right_half_plane(s, workprec)
     with mp.workprec(workprec):
         tol = mp.mpf(tolerance) if tolerance is not None else mp.mpf(2) ** (-(precision_bits // 2))
@@ -399,7 +382,7 @@ def mellin_quadrature(
 
         result = tanh_sinh(integrand, 0, mp.pi / 2, precision_bits,
                            tolerance=tol, min_level=min_level)
-        value = _wrap(result.value, precision_bits)
+        value = HPComplex.from_value(result.value, precision_bits)
     return MellinQuadratureResult(value, result.error_estimate, result.levels_used,
                                   result.nodes_used)
 
@@ -473,9 +456,9 @@ def mellin_rep(
     if variant is RepVariant.GENFUN:
         raise DomainError("the generating function is exposed by genfun(), "
                           "not as a pointwise representation")
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
-        z = _to_mpc(s, workprec)
+        z = to_mpc(s, workprec)
         odd_domain = variant in (RepVariant.L2A, RepVariant.L2D) and n % 2 == 1
         if odd_domain:
             if not z.real > -1:
@@ -634,7 +617,7 @@ def mellin_rep(
             value = quad.value
         else:  # pragma: no cover - enum is closed
             raise DomainError(f"unknown variant {variant}")
-    return _wrap(value, precision_bits)
+    return HPComplex.from_value(value, precision_bits)
 
 
 def _as_param(s):
@@ -665,7 +648,7 @@ def _div2(param):
 def _half_pochhammer_ratio(sq, N: int, odd: bool, workprec: int) -> mp.mpc:
     """((2-s)/2)_N / ((s+1)/2)_{N+1} for odd n, ((1-s)/2)_N / (s/2)_{N+1}
     for even n, times (-1)^N/2."""
-    z = _to_mpc(sq, workprec)
+    z = to_mpc(sq, workprec)
     if odd:
         top, bottom = (2 - z) / 2, (z + 1) / 2
     else:
@@ -702,9 +685,9 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
     """
     if N < 0:
         raise DomainError("partial sum needs N >= 0")
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
-        tv = _to_mpc(t, workprec)
+        tv = to_mpc(t, workprec)
         z = _require_right_half_plane(s, workprec)
         if not abs(tv) < 1:
             raise DomainError("generating series requires |t| < 1")
@@ -732,13 +715,13 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
 
         tail = abs(tv) ** (N + 1) / ((1 - abs(tv)) * z.real)
         return GenfunComparison(
-            partial_sum=_wrap(even + odd, precision_bits),
-            closed_form=_wrap(line1 + line2, precision_bits),
+            partial_sum=HPComplex.from_value(even + odd, precision_bits),
+            closed_form=HPComplex.from_value(line1 + line2, precision_bits),
             tail_bound=mp.mpf(tail),
-            closed_even=_wrap(line1, precision_bits),
-            closed_odd=_wrap(line2, precision_bits),
-            partial_even=_wrap(even, precision_bits),
-            partial_odd=_wrap(odd, precision_bits),
+            closed_even=HPComplex.from_value(line1, precision_bits),
+            closed_odd=HPComplex.from_value(line2, precision_bits),
+            partial_even=HPComplex.from_value(even, precision_bits),
+            partial_odd=HPComplex.from_value(odd, precision_bits),
         )
 
 
@@ -750,7 +733,7 @@ def order_one_reference(n: int, s, precision_bits: int = DEFAULT_PRECISION,
     """M_n^1(s) as the gamma-ratio-minus-one expression; the alternative
     flag routes through sqrt(pi) 2^(1-s) Gamma(s) instead (the two agree by
     Legendre duplication)."""
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         z = _require_right_half_plane(s, workprec)
         if duplication_form:
@@ -758,7 +741,7 @@ def order_one_reference(n: int, s, precision_bits: int = DEFAULT_PRECISION,
         else:
             top = mp.gamma(z / 2) * mp.gamma((z + 1) / 2)
         value = top * mp.rgamma((z - n) / 2) * mp.rgamma((z + n + 1) / 2) - 1
-    return _wrap(value, precision_bits)
+    return HPComplex.from_value(value, precision_bits)
 
 
 def order_one_exact(n: int, s) -> Fraction:

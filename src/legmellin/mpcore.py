@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import mpmath as mp
 
@@ -23,6 +23,8 @@ BigRational = Fraction
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
+# extra working bits behind every result rounded to a requested precision
+GUARD_BITS = 24
 
 RationalLike = Union[int, Fraction]
 
@@ -34,7 +36,10 @@ def as_rational(x: RationalLike | str) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"cannot read {x!r} as a rational number") from exc
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -226,6 +231,51 @@ def _as_gaussian(x) -> GaussianRational:
     return GaussianRational(as_rational(x))
 
 
+def to_mpc(value, precision_bits: int) -> mp.mpc:
+    """Read a scalar as an mpc, whatever the ambient mp.prec.
+
+    Exact values (int, Fraction, 'p/q' strings, GaussianRational) and
+    float, complex, mpf and mpc round to precision_bits; HPComplex keeps
+    the width it carries.  inf and nan raise DomainError.
+    """
+    if isinstance(value, GaussianRational):
+        return value.to_mpc(precision_bits)
+    if isinstance(value, HPComplex):
+        z = value.to_mpc()
+    else:
+        with mp.workprec(precision_bits):
+            if isinstance(value, (Fraction, str)):
+                return mp.mpc(rational_to_mpf(value, precision_bits))
+            z = mp.mpc(value)
+    if not mp.isfinite(z):
+        raise DomainError(f"not a finite number: {value!r}")
+    return z
+
+
+def exact_or_none(value) -> Optional[GaussianRational]:
+    """Exact Gaussian-rational reading of value, or None when it has none.
+
+    int, Fraction, 'p/q' strings and GaussianRational are exact; float,
+    mpf, complex, mpc and HPComplex values are exact only when real and
+    integral.  Unreadable strings, inf and nan raise DomainError.
+    """
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction, str)):
+        return GaussianRational(value)
+    if isinstance(value, (HPComplex, complex, mp.mpc)):
+        real, imag = value.real, value.imag
+    elif isinstance(value, (float, mp.mpf)):
+        real, imag = value, 0
+    else:
+        return None
+    if not (mp.isfinite(real) and mp.isfinite(imag)):
+        raise DomainError(f"not a finite number: {value!r}")
+    if imag == 0 and mp.isint(real):
+        return GaussianRational(int(real))
+    return None
+
+
 class RationalPolynomial:
     """Dense polynomial over Fraction; index i holds the coefficient of s^i.
 
@@ -399,9 +449,7 @@ def poly_affine_substitute(
 def poly_eval_complex(p: RationalPolynomial, s: HPComplex) -> HPComplex:
     """Horner-scheme value of p at s, at the precision carried by s."""
     prec = s.precision_bits
-    value = p.eval_mpc(s.to_mpc(), prec)
-    value = mp.mpc(value)
-    return HPComplex(value.real, value.imag, prec)
+    return HPComplex.from_value(p.eval_mpc(s.to_mpc(), prec), prec)
 
 
 def poly_structural_equal(p: RationalPolynomial, r: RationalPolynomial) -> bool:

@@ -21,8 +21,8 @@ from functools import lru_cache
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError
+from .mpcore import GUARD_BITS
 
-_GUARD = 24
 # a level-7 pass at 160 bits touches about 670 distinct abscissae; an
 # entry holds four mpfs, about 1 KB
 _NODE_CACHE_SIZE = 1024
@@ -66,7 +66,7 @@ def tanh_sinh(
     """
     if not (min_level >= 0 and max_level >= min_level):
         raise DomainError("levels must satisfy 0 <= min_level <= max_level")
-    workprec = precision_bits + _GUARD
+    workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         a = mp.mpf(a)
         b = mp.mpf(b)

@@ -11,59 +11,30 @@ rationals, and the unit-argument strategy selection.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import mpmath as mp
 
 from .errors import DivergenceError, DomainError, PoleError
 from .mpcore import (
     DEFAULT_PRECISION,
+    GUARD_BITS,
     GaussianRational,
     HPComplex,
     as_rational,
-    rational_to_mpf,
+    exact_or_none,
+    to_mpc,
 )
-
-_GUARD = 24
-
-
-def _to_mpc(value, precision_bits: int) -> mp.mpc:
-    if isinstance(value, HPComplex):
-        return value.to_mpc()
-    if isinstance(value, GaussianRational):
-        return value.to_mpc(precision_bits)
-    with mp.workprec(precision_bits):
-        if isinstance(value, Fraction):
-            return mp.mpc(rational_to_mpf(value, precision_bits))
-        return mp.mpc(value)
-
-
-def _wrap(value, precision_bits: int) -> HPComplex:
-    # conversion must not round at the ambient context precision
-    with mp.workprec(precision_bits + _GUARD):
-        value = mp.mpc(value)
-    return HPComplex(value.real, value.imag, precision_bits)
-
-
-def _exact_rational_or_none(value) -> Optional[GaussianRational]:
-    """Exact Gaussian-rational reading of value, or None for floats."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    if isinstance(value, float) and value == int(value):
-        return GaussianRational(int(value))
-    return None
 
 
 def is_nonpositive_integer(value) -> bool:
     """Exact check; floats qualify only when they carry an exact integer."""
-    g = _exact_rational_or_none(value)
+    g = exact_or_none(value)
     if g is not None:
         return g.im == 0 and g.re.denominator == 1 and g.re <= 0
-    z = _to_mpc(value, DEFAULT_PRECISION)
+    z = to_mpc(value, DEFAULT_PRECISION)
     return z.imag == 0 and mp.isint(z.real) and z.real <= 0
 
 
@@ -79,17 +50,17 @@ def gamma(z, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """
     if is_nonpositive_integer(z):
         raise PoleError(f"gamma pole at {z}")
-    with mp.workprec(precision_bits + _GUARD):
-        value = mp.gamma(_to_mpc(z, precision_bits + _GUARD))
-    return _wrap(value, precision_bits)
+    with mp.workprec(precision_bits + GUARD_BITS):
+        value = mp.gamma(to_mpc(z, precision_bits + GUARD_BITS))
+    return HPComplex.from_value(value, precision_bits)
 
 
 def reciprocal_gamma(z, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     if is_nonpositive_integer(z):
         return HPComplex(0, 0, precision_bits)
-    with mp.workprec(precision_bits + _GUARD):
-        value = mp.rgamma(_to_mpc(z, precision_bits + _GUARD))
-    return _wrap(value, precision_bits)
+    with mp.workprec(precision_bits + GUARD_BITS):
+        value = mp.rgamma(to_mpc(z, precision_bits + GUARD_BITS))
+    return HPComplex.from_value(value, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +80,15 @@ class ZetaRequest:
 
 
 def zeta_family(req: ZetaRequest, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-    with mp.workprec(precision_bits + _GUARD):
+    with mp.workprec(precision_bits + GUARD_BITS):
         if req.kind is ZetaKind.RIEMANN:
-            s = _to_mpc(req.s_or_order, precision_bits + _GUARD)
+            s = to_mpc(req.s_or_order, precision_bits + GUARD_BITS)
             if s == 1:
                 raise PoleError("zeta pole at s = 1")
             value = mp.zeta(s)
         elif req.kind is ZetaKind.HURWITZ:
-            s = _to_mpc(req.s_or_order, precision_bits + _GUARD)
-            a = _to_mpc(req.shift, precision_bits + _GUARD)
+            s = to_mpc(req.s_or_order, precision_bits + GUARD_BITS)
+            a = to_mpc(req.shift, precision_bits + GUARD_BITS)
             if a.real <= 0:
                 raise DomainError(f"Hurwitz shift must have Re > 0, got {a}")
             if s == 1:
@@ -127,13 +98,13 @@ def zeta_family(req: ZetaRequest, precision_bits: int = DEFAULT_PRECISION) -> HP
             order = req.s_or_order
             if not isinstance(order, int) or order < 0:
                 raise DomainError(f"polygamma order must be a nonnegative integer, got {order}")
-            z = _to_mpc(req.shift, precision_bits + _GUARD)
+            z = to_mpc(req.shift, precision_bits + GUARD_BITS)
             if is_nonpositive_integer(z):
                 raise PoleError(f"polygamma pole at {z}")
             value = mp.polygamma(order, z)
         else:  # pragma: no cover - enum is closed
             raise DomainError(f"unknown zeta request kind {req.kind}")
-    return _wrap(value, precision_bits)
+    return HPComplex.from_value(value, precision_bits)
 
 
 def riemann_zeta(s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
@@ -206,9 +177,10 @@ def pochhammer_rational(a: Fraction, k: int) -> Fraction:
 class HypergeometricSpec:
     """A pFq evaluation request.
 
-    Parameters may be exact (int, Fraction, GaussianRational) or floating
-    (HPComplex, mpf, mpc, float).  Exactness is what enables the exact
-    terminating path and the precise pole/termination ordering checks.
+    Parameters may be any scalar mpcore.to_mpc reads; those that
+    mpcore.exact_or_none reads exactly (int, Fraction, GaussianRational,
+    and real integral floating values) enable the exact terminating path
+    and the precise pole/termination ordering checks.
     """
 
     numerator_params: tuple
@@ -227,8 +199,8 @@ class HypergeometricSpec:
         best = None
         for p in self.numerator_params:
             if is_nonpositive_integer(p):
-                g = _exact_rational_or_none(p)
-                k = int(-g.re) if g is not None else int(-_to_mpc(p, 64).real)
+                g = exact_or_none(p)
+                k = int(-g.re) if g is not None else int(-to_mpc(p, 64).real)
                 best = k if best is None else min(best, k)
         return best
 
@@ -237,8 +209,8 @@ def _check_denominator_poles(spec: HypergeometricSpec) -> None:
     n_term = spec.termination_index
     for d in spec.denominator_params:
         if is_nonpositive_integer(d):
-            g = _exact_rational_or_none(d)
-            pole_at = int(-g.re) + 1 if g is not None else int(-_to_mpc(d, 64).real) + 1
+            g = exact_or_none(d)
+            pole_at = int(-g.re) + 1 if g is not None else int(-to_mpc(d, 64).real) + 1
             if n_term is None or n_term >= pole_at:
                 raise PoleError(
                     f"denominator parameter {d} terminates before the numerator"
@@ -248,16 +220,16 @@ def _check_denominator_poles(spec: HypergeometricSpec) -> None:
 def _all_exact(spec: HypergeometricSpec) -> Optional[tuple]:
     nums, dens = [], []
     for p in spec.numerator_params:
-        g = _exact_rational_or_none(p)
+        g = exact_or_none(p)
         if g is None:
             return None
         nums.append(g)
     for p in spec.denominator_params:
-        g = _exact_rational_or_none(p)
+        g = exact_or_none(p)
         if g is None:
             return None
         dens.append(g)
-    z = _exact_rational_or_none(spec.argument)
+    z = exact_or_none(spec.argument)
     if z is None:
         return None
     return tuple(nums), tuple(dens), z
@@ -323,7 +295,7 @@ def _sum_inside_disk(nums, dens, z, precision_bits: int) -> mp.mpc:
 def _hyper_unit(nums, dens, precision_bits: int) -> mp.mpc:
     """Convergent pFq(1) via mpmath's summation engine."""
     try:
-        with mp.workprec(precision_bits + 2 * _GUARD):
+        with mp.workprec(precision_bits + 2 * GUARD_BITS):
             return mp.mpc(mp.hyper([mp.mpc(a) for a in nums],
                                    [mp.mpc(b) for b in dens], 1))
     except mp.libmp.NoConvergence as exc:
@@ -402,9 +374,9 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
 
     # cancel identical numerator/denominator parameters (exact matches only)
     for a in list(nums):
-        ga = _exact_rational_or_none(a)
+        ga = exact_or_none(a)
         for b in list(dens):
-            gb = _exact_rational_or_none(b)
+            gb = exact_or_none(b)
             same = (ga is not None and gb is not None and ga == gb) or (
                 ga is None and gb is None and a is b
             )
@@ -417,10 +389,10 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
     _check_denominator_poles(spec)
     n_term = spec.termination_index
 
-    with mp.workprec(precision_bits + _GUARD):
-        z = _to_mpc(spec.argument, precision_bits + _GUARD)
+    with mp.workprec(precision_bits + GUARD_BITS):
+        z = to_mpc(spec.argument, precision_bits + GUARD_BITS)
 
-        if any(is_nonpositive_integer(p) and _exact_rational_or_none(p) == GaussianRational(0)
+        if any(is_nonpositive_integer(p) and exact_or_none(p) == GaussianRational(0)
                for p in spec.numerator_params):
             return HPComplex(1, 0, precision_bits)
 
@@ -428,22 +400,23 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
             exact = _all_exact(spec)
             if exact is not None:
                 return hyp_terminating_exact(spec).to_hpcomplex(precision_bits)
-            fnums = [_to_mpc(p, precision_bits + _GUARD) for p in spec.numerator_params]
-            fdens = [_to_mpc(p, precision_bits + _GUARD) for p in spec.denominator_params]
-            return _wrap(_sum_finite(fnums, fdens, z, n_term), precision_bits)
+            fnums = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.numerator_params]
+            fdens = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.denominator_params]
+            return HPComplex.from_value(_sum_finite(fnums, fdens, z, n_term), precision_bits)
 
-        fnums = [_to_mpc(p, precision_bits + _GUARD) for p in spec.numerator_params]
-        fdens = [_to_mpc(p, precision_bits + _GUARD) for p in spec.denominator_params]
+        fnums = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.numerator_params]
+        fdens = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.denominator_params]
 
         if abs(z) < 1:
-            return _wrap(_sum_inside_disk(fnums, fdens, z, precision_bits), precision_bits)
+            return HPComplex.from_value(
+                _sum_inside_disk(fnums, fdens, z, precision_bits), precision_bits)
 
         if z == -1 and len(fnums) == 2 and len(fdens) == 1:
             # Pfaff: F(a,b;c;-1) = 2^(-a) F(a, c-b; c; 1/2)
             a, b = fnums
             c = fdens[0]
             inner = _sum_inside_disk((a, c - b), (c,), mp.mpf("0.5"), precision_bits)
-            return _wrap(mp.power(2, -a) * inner, precision_bits)
+            return HPComplex.from_value(mp.power(2, -a) * inner, precision_bits)
 
         if z == 1:
             excess = _excess(fnums, fdens)
@@ -455,12 +428,12 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
                 a, b = fnums
                 c = fdens[0]
                 pref = _gamma_product((c, c - a - b), (c - a, c - b), precision_bits)
-                return _wrap(pref, precision_bits)
+                return HPComplex.from_value(pref, precision_bits)
             if len(fnums) == 3 and len(fdens) == 2 and excess <= 0.5:
                 raised = _a1_raised(tuple(fnums), tuple(fdens), precision_bits)
                 if raised is not None:
-                    return _wrap(raised, precision_bits)
-            return _wrap(_hyper_unit(fnums, fdens, precision_bits), precision_bits)
+                    return HPComplex.from_value(raised, precision_bits)
+            return HPComplex.from_value(_hyper_unit(fnums, fdens, precision_bits), precision_bits)
 
     raise DivergenceError(f"no evaluation strategy for argument {spec.argument}")
 
@@ -501,8 +474,8 @@ def threeF2_transform_check(
     through the reciprocal form, so a vanishing prefactor suppresses its
     series instead of producing a NaN.
     """
-    with mp.workprec(precision_bits + 2 * _GUARD):
-        az, bz, cz, dz, ez = (_to_mpc(x, precision_bits + 2 * _GUARD) for x in (a, b, c, d, e))
+    with mp.workprec(precision_bits + 2 * GUARD_BITS):
+        az, bz, cz, dz, ez = (to_mpc(x, precision_bits + 2 * GUARD_BITS) for x in (a, b, c, d, e))
         lhs = _f32((az, bz, cz), (dz, ez), precision_bits)
 
         if transform is TransformId.A1:
@@ -537,7 +510,7 @@ def threeF2_transform_check(
             raise DomainError(f"unknown transform {transform}")
 
         residual = lhs - rhs
-    return _wrap(residual, precision_bits)
+    return HPComplex.from_value(residual, precision_bits)
 
 
 def _shared_t1(az, bz, cz, dz, ez, precision_bits) -> mp.mpc:
@@ -561,8 +534,8 @@ def kummer_2f1_residual(which: str, s, precision_bits: int = DEFAULT_PRECISION) 
     neighbours).  The left side goes through the Pfaff route of hyp_pfq;
     the right side is pure gamma arithmetic.
     """
-    with mp.workprec(precision_bits + _GUARD):
-        sz = _to_mpc(s, precision_bits + _GUARD)
+    with mp.workprec(precision_bits + GUARD_BITS):
+        sz = to_mpc(s, precision_bits + GUARD_BITS)
         sqpi = mp.sqrt(mp.pi)
         if which == "a":
             lhs = hyp2f1(sz, mp.mpf("0.5"), sz + mp.mpf("0.5"), -1, precision_bits).to_mpc()
@@ -581,4 +554,4 @@ def kummer_2f1_residual(which: str, s, precision_bits: int = DEFAULT_PRECISION) 
         else:
             raise DomainError(f"unknown identity tag {which!r}")
         residual = lhs - rhs
-    return _wrap(residual, precision_bits)
+    return HPComplex.from_value(residual, precision_bits)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import mpmath as mp
 
 from .errors import ConvergenceError, DomainError
-from .mpcore import DEFAULT_PRECISION, HPComplex, RationalPolynomial
+from .mpcore import DEFAULT_PRECISION, GUARD_BITS, HPComplex, RationalPolynomial
 from . import criticality
 from . import fracpart
 from . import mellin
@@ -163,7 +163,7 @@ def _suite_recursion(config: RunConfig) -> List[CaseResult]:
     cases: List[CaseResult] = []
     tight = mp.mpf(2) ** (-(prec - 20))
 
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         worst = mp.mpf(0)
         for k in range(20):
             s = Fraction(1, 4) + Fraction(3 * k, 20)
@@ -213,7 +213,7 @@ def _suite_recursion(config: RunConfig) -> List[CaseResult]:
     for n in range(1, min(20, config.max_n) + 1):
         ok = mellin.order_one_rationality_check(n)
         worst = mp.mpf(0)
-        with mp.workprec(prec + 24):
+        with mp.workprec(prec + GUARD_BITS):
             for s in (Fraction(3, 2), Fraction(2), Fraction(7, 2)):
                 a = mellin.mellin_closed(n, 1, s, prec).to_mpc()
                 b = mellin.order_one_reference(n, s, prec).to_mpc()
@@ -317,7 +317,7 @@ def _suite_reps(config: RunConfig) -> List[CaseResult]:
                 except DomainError:
                     continue  # variant not legal at this (n, s)
                 want = mellin.mellin_closed(n, 0, s, prec)
-                with mp.workprec(prec + 24):
+                with mp.workprec(prec + GUARD_BITS):
                     err = abs(got.to_mpc() - want.to_mpc())
                 cases.append(_num_case(
                     f"{variant.value}/n={n:03d},s={label}",
@@ -348,7 +348,7 @@ def _suite_diffeq(config: RunConfig) -> List[CaseResult]:
     for m in (0, 2):
         for n in range(max(m, 2), n_cap + 1):
             worst = mp.mpf(0)
-            with mp.workprec(prec + 24):
+            with mp.workprec(prec + GUARD_BITS):
                 for label in _DIFFEQ_POINTS:
                     s = _diffeq_point(label)
                     t1, t2, t3 = criticality.difference_equation_terms(n, s, m, prec)
@@ -382,8 +382,8 @@ def _suite_hahn(config: RunConfig) -> List[CaseResult]:
     for n in range(1, min(10, config.max_n) + 1):
         spread = criticality.hahn_proportionality(n, _HAHN_SAMPLES, prec)
         constant = criticality.hahn_constant(n)
-        with mp.workprec(prec + 24):
-            scale = abs(constant.to_mpc(prec + 24))
+        with mp.workprec(prec + GUARD_BITS):
+            scale = abs(constant.to_mpc(prec + GUARD_BITS))
             rel = spread / scale if scale > 0 else mp.mpf("inf")
         cases.append(_num_case(
             f"n={n:03d}", {"n": str(n), "samples": "5"},
@@ -401,7 +401,7 @@ def _moment_case(alpha: int, beta: int, s, label: str, config: RunConfig,
     spec = fracpart.FracIntegralSpec(alpha=alpha, beta=beta, s=s)
     closed = fracpart.frac_int_moments(spec, prec)
     oracle = fracpart.numeric_fracpart_oracle(spec, precision_bits=min(prec, 192))
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         err = abs(closed.to_mpc() - oracle.value.to_mpc())
         tol = max(config.base_tolerance, 8 * oracle.error_bound)
     return _num_case(
@@ -426,7 +426,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
         cases.append(_moment_case(alpha, beta, s, label, config))
 
     # the stated linear-map value at s = 2
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         want = (mp.zeta(2) - 1) / 2
         got = fracpart.frac_int_moments(
             fracpart.FracIntegralSpec(alpha=1, beta=1, s=2), prec)
@@ -457,7 +457,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
     for order in range(1, 7):
         for u, ulabel in ((Fraction(0), "0"), (Fraction(1, 2), "1/2"),
                           (Fraction(1), "1")):
-            with mp.workprec(prec + 24):
+            with mp.workprec(prec + GUARD_BITS):
                 sn = fracpart.sublemma_sum(
                     fracpart.SublemmaState(order, u), prec).to_mpc()
                 if order == 1:
@@ -476,7 +476,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
                 {"order": str(order), "u": ulabel},
                 "S_n = S_(n-1) - zeta(n+1, u+2)", _fmt(sn), err, tight))
 
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         state = fracpart.SublemmaState(3, Fraction(1, 2))
         series = fracpart.sublemma_sum_series(state, prec).to_mpc()
         closed = fracpart.sublemma_sum(state, prec).to_mpc()
@@ -486,7 +486,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
         "head plus folded tail equals telescoped form", _fmt(series), err, tight))
 
     for n in (1, 2, 3):
-        with mp.workprec(prec + 24):
+        with mp.workprec(prec + GUARD_BITS):
             stated = fracpart.moment_boundary_value(1, n, prec).to_mpc()
             rule = fracpart.moment_combination(1, n).evaluate(n + 1, prec).to_mpc()
             samples = [
@@ -501,7 +501,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
             {"alpha": "1", "beta": str(n), "s": str(n + 1)},
             "stated limit, pole-cancellation rule, and extrapolation agree",
             _fmt(stated), err, mp.mpf(10) ** -28))
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         stated = fracpart.moment_boundary_value(2, 2, prec).to_mpc()
         rule = fracpart.moment_combination(2, 2).evaluate(4, prec).to_mpc()
         err = abs(stated - rule)
@@ -509,7 +509,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
         "boundary/alpha=2,beta=2", {"alpha": "2", "beta": "2", "s": "4"},
         "quadratic boundary value matches the rule", _fmt(stated), err, tight))
 
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         gamma_limit = fracpart.alpha_one_limit(2, 1, prec).to_mpc()
         err = abs(gamma_limit - mp.euler)
     cases.append(_num_case(
@@ -523,7 +523,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
             f"pair/quadrature/s={s}", {"s": str(s)},
             "closed assembly matches direct quadrature",
             _fmt(report.closed), report.difference, tol))
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         v1 = fracpart.frac_pair_integral(1, prec).to_mpc()
         err1 = abs(v1 - (2 * mp.euler - 1))
         v2 = fracpart.frac_pair_integral(2, prec).to_mpc()
@@ -535,7 +535,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
 
     weighted = fracpart.frac_general(3, 2, Fraction(1, 4), prec)
     oracle = fracpart.frac_weight_quadrature(3, 2, Fraction(1, 4), precision_bits=96)
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         err = abs(weighted.to_mpc() - oracle.value.to_mpc())
     cases.append(_num_case(
         "general-weighted/s=3,b=2,alpha=1/4",
@@ -555,7 +555,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
             {"j": str(j), "kind": kind.value, "s": label},
             "series route equals closed zeta combination",
             _fmt(result.closed_value), result.difference, base))
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         j1 = fracpart.fermi_bose_transform(
             1, fracpart.TransformKind.BOSE, 2, prec)
         err = abs(j1.closed_value.to_mpc() - 2 * mp.zeta(3))
@@ -635,7 +635,7 @@ def _suite_appendix(config: RunConfig) -> List[CaseResult]:
     ulp8 = 8 * mp.mpf(2) ** (-prec)
     tight = mp.mpf(2) ** (-(prec - 16))
 
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         worst = mp.mpf(0)
         for j in range(10):
             for k in range(10):
@@ -684,7 +684,7 @@ def _suite_appendix(config: RunConfig) -> List[CaseResult]:
 
     for which in ("a", "b", "c"):
         worst = mp.mpf(0)
-        with mp.workprec(prec + 24):
+        with mp.workprec(prec + GUARD_BITS):
             for k in range(20):
                 s = Fraction(1, 4) + Fraction(k, 20) * Fraction(23, 4)
                 r = specfun.kummer_2f1_residual(which, s, prec)
@@ -701,11 +701,11 @@ def _suite_appendix(config: RunConfig) -> List[CaseResult]:
         specfun.HypergeometricSpec((-5, Fraction(3, 4)), (Fraction(7, 2),),
                                    Fraction(-1, 2)),
     )
-    with mp.workprec(prec + 24):
+    with mp.workprec(prec + GUARD_BITS):
         for i, spec in enumerate(terminating):
             exact = specfun.hyp_terminating_exact(spec)
             floated = specfun.hyp_pfq(spec, prec)
-            err = abs(exact.to_mpc(prec + 24) - floated.to_mpc())
+            err = abs(exact.to_mpc(prec + GUARD_BITS) - floated.to_mpc())
             cases.append(_num_case(
                 f"terminating/{i}", {"spec": str(i)},
                 "exact rational path equals float path",
@@ -714,7 +714,7 @@ def _suite_appendix(config: RunConfig) -> List[CaseResult]:
     for transform in specfun.TransformId:
         tuples = appendix_parameter_tuples(transform, config.seed, 50)
         worst = mp.mpf(0)
-        with mp.workprec(prec + 24):
+        with mp.workprec(prec + GUARD_BITS):
             for tup in tuples:
                 r = specfun.threeF2_transform_check(transform, *tup, precision_bits=prec)
                 worst = max(worst, abs(r.to_mpc()))

@@ -267,3 +267,13 @@ def test_hahn_domain_checks():
         hahn_proportionality(0, [Fraction(2), Fraction(3)])
     with pytest.raises(DomainError):
         hahn_proportionality(2, [Fraction(2)])
+
+
+def test_hahn_eval_refuses_an_unreadable_string():
+    params = HahnParams(Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(1, 2) - 3)
+    with pytest.raises(DomainError):
+        hahn_eval(3, "2+3i", params)
+
+
+def test_hahn_spread_reads_mixed_exact_and_float_samples():
+    assert hahn_proportionality(3, [Fraction(2), 2.5]) == hahn_proportionality(3, [2.0, 2.5])

@@ -30,7 +30,7 @@ from legmellin.fracpart import (
     sublemma_sum,
     sublemma_sum_series,
 )
-from legmellin.mpcore import HPComplex, RationalPolynomial
+from legmellin.mpcore import GaussianRational, HPComplex, RationalPolynomial
 from legmellin.quadrature import tanh_sinh
 
 
@@ -53,6 +53,10 @@ def test_basic_transform_domain():
         frac_basic(Fraction(1))
     with pytest.raises(DomainError):
         frac_basic(Fraction(1, 2))
+
+
+def test_basic_transform_reads_gaussian_rationals():
+    assert frac_basic(GaussianRational(2, 1), 128) == frac_basic(HPComplex(2, 1), 128)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from legmellin.mpcore import (
     HPComplex,
     RationalPolynomial,
     as_rational,
+    exact_or_none,
     poly_affine_substitute,
     poly_eval_complex,
     poly_structural_equal,
     rational_to_mpf,
+    to_mpc,
 )
 
 rationals = st.fractions(
@@ -132,3 +134,70 @@ def test_poly_eval_complex_matches_rational_eval():
 def test_structural_equality_distinguishes_padding():
     assert poly_structural_equal(RationalPolynomial([1, 1]), RationalPolynomial([1, 1, 0]))
     assert not poly_structural_equal(RationalPolynomial([1, 1]), RationalPolynomial([1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# the shared scalar readers
+
+THIRD = rational_to_mpf(Fraction(1, 3), 256)
+with mp.workprec(300):
+    WIDE_THIRD = mp.mpf(1) / 3
+    WIDE_COMPLEX = mp.mpc(WIDE_THIRD, -1)
+
+TO_MPC_CASES = [
+    (3, (3, 0)),
+    (Fraction(1, 3), (THIRD, 0)),
+    ("1/3", (THIRD, 0)),
+    (GaussianRational(1, Fraction(1, 3)), (1, THIRD)),
+    (0.1, (0.1, 0)),
+    (complex(0.5, -2), (0.5, -2)),
+    (WIDE_THIRD, (THIRD, 0)),
+    (WIDE_COMPLEX, (THIRD, -1)),
+    (HPComplex(Fraction(1, 3), 2, 256), (THIRD, 2)),
+]
+
+
+@pytest.mark.parametrize("value, parts", TO_MPC_CASES,
+                         ids=lambda v: type(v).__name__)
+def test_to_mpc_ignores_the_ambient_precision(value, parts):
+    with mp.workprec(53):
+        narrow = to_mpc(value, 256)
+    with mp.workprec(256):
+        wide = to_mpc(value, 256)
+        want = mp.mpc(*parts)
+    assert narrow == wide == want
+
+
+EXACT_CASES = [
+    (3, GaussianRational(3)),
+    (Fraction(1, 3), GaussianRational(Fraction(1, 3))),
+    ("-5/2", GaussianRational(Fraction(-5, 2))),
+    (GaussianRational(1, 2), GaussianRational(1, 2)),
+    (2.0, GaussianRational(2)),
+    (2.5, None),
+    (complex(2, 0), GaussianRational(2)),
+    (complex(2, 1), None),
+    (mp.mpf(-4), GaussianRational(-4)),
+    (mp.mpf(0.5), None),
+    (mp.mpc(3, 0), GaussianRational(3)),
+    (mp.mpc(3, 1), None),
+    (HPComplex(4, 0, 128), GaussianRational(4)),
+    (HPComplex(Fraction(1, 3), 0, 128), None),
+]
+
+
+@pytest.mark.parametrize("value, want", EXACT_CASES,
+                         ids=lambda v: type(v).__name__)
+def test_exact_or_none_reads_each_accepted_type(value, want):
+    assert exact_or_none(value) == want
+
+
+@pytest.mark.parametrize("bad", [
+    float("inf"), float("nan"), mp.inf, mp.nan, complex(1, float("inf")),
+    mp.mpc(mp.nan, 0), HPComplex(mp.inf, 0, 128), "2+3i",
+], ids=str)
+def test_readers_refuse_non_finite_and_unreadable_scalars(bad):
+    with pytest.raises(DomainError):
+        to_mpc(bad, 128)
+    with pytest.raises(DomainError):
+        exact_or_none(bad)

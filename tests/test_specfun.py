@@ -1,6 +1,8 @@
 """Gamma/zeta wrappers, Ferrers evaluation, the hypergeometric engine, and
 the 3F2(1) transformation catalog."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import mpmath as mp
@@ -52,6 +54,32 @@ def test_gamma_pole_raises():
         gamma(0)
     with pytest.raises(PoleError):
         gamma(-3)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), mp.inf, mp.nan],
+                         ids=["inf", "nan", "mp.inf", "mp.nan"])
+def test_non_finite_scalars_are_refused_up_front(bad):
+    # unchecked, a nan parameter runs the |z| < 1 series toward its term budget
+    with _deadline(5):
+        with pytest.raises(DomainError):
+            gamma(bad)
+        with pytest.raises(DomainError):
+            hyp2f1(bad, Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))
+        with pytest.raises(DomainError):
+            hyp2f1(Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), bad)
 
 
 def test_reciprocal_gamma_is_zero_at_poles():

@@ -36,7 +36,6 @@ from .mpcore import (
     GaussianRational,
     HPComplex,
     RationalPolynomial,
-    as_rational,
     exact_or_none,
     poly_affine_substitute,
     poly_structural_equal,
@@ -386,12 +385,8 @@ def difference_equation_terms(n: int, s, m: int = 0,
         if not z.real > 2:
             raise DomainError("all three transforms need Re s - 2 > 0")
         A, B, C = _coefficient_polys(n, m)
-        exact = isinstance(s, (int, Fraction, str))
-        if exact:
-            q = as_rational(s)
-            args = (q, q + 2, q - 2)
-        else:
-            args = (z, z + 2, z - 2)
+        q = exact_or_none(s)
+        args = (z, z + 2, z - 2) if q is None else (q, q + 2, q - 2)
         values = [mellin_closed(n, m, a, workprec) for a in args]
         out = []
         for coeff, val in zip((A, B, C), values):

@@ -21,10 +21,10 @@ from .errors import DomainError
 from .mpcore import (
     DEFAULT_PRECISION,
     GUARD_BITS,
-    GaussianRational,
     HPComplex,
     RationalPolynomial,
     as_rational,
+    exact_or_none,
     to_mpc,
 )
 from .quadrature import tanh_sinh
@@ -286,7 +286,8 @@ def mellin_recursion_reference(n: int, m: int, s,
 
 def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """M_n^m(s) by the closed route: exact polynomial factor for even m,
-    degree recursion for odd m; exact 0 for m > n."""
+    degree recursion for odd m (over rationals when exact_or_none reads s
+    as an exact real); exact 0 for m > n."""
     if n < 0 or m < 0:
         raise DomainError("mellin_closed requires n >= 0 and m >= 0")
     workprec = precision_bits + GUARD_BITS
@@ -295,11 +296,9 @@ def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) ->
         return HPComplex(0, 0, precision_bits)
     if m % 2 == 0:
         return poly_factor(n, m).evaluate(s, precision_bits)
-    rational = s if isinstance(s, (int, Fraction)) else None
-    if isinstance(s, str):
-        rational = as_rational(s)
-    if rational is not None:
-        exact = _odd_order_exact(n, m, as_rational(rational))
+    g = exact_or_none(s)
+    if g is not None and g.im == 0:
+        exact = _odd_order_exact(n, m, g.re)
         with mp.workprec(workprec):
             value = mp.mpf(exact.numerator) / exact.denominator
         return HPComplex.from_value(value, precision_bits)
@@ -407,11 +406,6 @@ class RepVariant(Enum):
     GENFUN = "GENFUN"
 
 
-_ANALYTIC_VARIANTS = frozenset({
-    RepVariant.L2A, RepVariant.L2B, RepVariant.L2C, RepVariant.L2D,
-    RepVariant.L2E, RepVariant.L3A, RepVariant.L3B, RepVariant.L3C,
-    RepVariant.P3, RepVariant.L8,
-})
 _QUADRATURE_VARIANTS = frozenset({
     RepVariant.P1, RepVariant.COS_QUAD, RepVariant.TANH_QUAD,
 })
@@ -459,6 +453,10 @@ def mellin_rep(
     workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         z = to_mpc(s, workprec)
+        # exact when s reads exactly, so terminating series stay exact
+        sq = exact_or_none(s)
+        if sq is None:
+            sq = z
         odd_domain = variant in (RepVariant.L2A, RepVariant.L2D) and n % 2 == 1
         if odd_domain:
             if not z.real > -1:
@@ -471,48 +469,44 @@ def mellin_rep(
             if n % 2 != 1:
                 raise DomainError("L2a decomposes odd n = 2N+1")
             N = (n - 1) // 2
-            sq = _as_param(s)
             pref = _half_pochhammer_ratio(sq, N, odd=True, workprec=workprec)
             f = hyp_pfq(HypergeometricSpec(
-                (_frac(1, 2), _shift(sq, 1) / 2, _div2(sq)),
-                (_div2(sq) - N, _div2(sq) + _frac(2 * N + 3, 2)), 1), precision_bits + 8)
+                (_frac(1, 2), (sq + 1) / 2, sq / 2),
+                (sq / 2 - N, sq / 2 + _frac(2 * N + 3, 2)), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2B:
             _require_order_zero(variant, m)
             if n % 2 != 0:
                 raise DomainError("L2b decomposes even n = 2N")
             N = n // 2
-            sq = _as_param(s)
             pref = _half_pochhammer_ratio(sq, N, odd=False, workprec=workprec)
             f = hyp_pfq(HypergeometricSpec(
-                (_frac(1, 2), _shift(sq, 1) / 2, _div2(sq)),
-                (_div2(sq) - N + _frac(1, 2), _div2(sq) + N + 1), 1), precision_bits + 8)
+                (_frac(1, 2), (sq + 1) / 2, sq / 2),
+                (sq / 2 - N + _frac(1, 2), sq / 2 + N + 1), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2C:
             _require_order_zero(variant, m)
             if n % 2 != 0:
                 raise DomainError("L2c decomposes even n = 2N")
             N = n // 2
-            sq = _as_param(s)
             pref = ((-1) ** N * mp.mpf(double_factorial(2 * N - 1))
                     / (mp.power(2, N + 1) * mp.factorial(N))
                     * mp.sqrt(mp.pi) * mp.gamma(z / 2) * mp.rgamma((z + 1) / 2))
             f = hyp_pfq(HypergeometricSpec(
-                (-N, N + _frac(1, 2), _div2(sq)),
-                (_frac(1, 2), _shift(sq, 1) / 2), 1), precision_bits + 8)
+                (-N, N + _frac(1, 2), sq / 2),
+                (_frac(1, 2), (sq + 1) / 2), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2D:
             _require_order_zero(variant, m)
             if n % 2 != 1:
                 raise DomainError("L2d decomposes odd n = 2N+1")
             N = (n - 1) // 2
-            sq = _as_param(s)
             pref = ((-1) ** N * mp.mpf(double_factorial(2 * N + 1))
                     / (mp.power(2, N) * mp.factorial(N))
                     * mp.sqrt(mp.pi) * mp.gamma((z + 1) / 2) * mp.rgamma(z / 2) / z)
             f = hyp_pfq(HypergeometricSpec(
-                (-N, N + _frac(3, 2), _shift(sq, 1) / 2),
-                (_frac(3, 2), _div2(sq) + 1), 1), precision_bits + 8)
+                (-N, N + _frac(3, 2), (sq + 1) / 2),
+                (_frac(3, 2), sq / 2 + 1), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2E:
             _require_order_zero(variant, m)
@@ -537,35 +531,31 @@ def mellin_rep(
             value = total / mp.power(2, n + 1)
         elif variant is RepVariant.L3B:
             _require_order_zero(variant, m)
-            sq = _as_param(s)
             pref = (mp.power(2, n - 1) * mp.gamma(n + mp.mpf(1) / 2)
                     * mp.gamma((n + z) / 2)
                     / (mp.factorial(n) * mp.gamma((n + z + 1) / 2)))
             f = hyp_pfq(HypergeometricSpec(
-                (_frac(1 - n, 2), _frac(-n, 2), (_shift(-sq, 1 - n)) / 2),
-                (_frac(1 - 2 * n, 2), 1 - _shift(sq, n) / 2), 1), precision_bits + 8)
+                (_frac(1 - n, 2), _frac(-n, 2), (-sq + (1 - n)) / 2),
+                (_frac(1 - 2 * n, 2), 1 - (sq + n) / 2), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L3C:
             _require_order_zero(variant, m)
-            sq = _as_param(s)
             pref = (mp.sqrt(mp.pi) / 2 * mp.gamma((n + z) / 2)
                     * mp.rgamma((n + z + 1) / 2))
             f = hyp_pfq(HypergeometricSpec(
                 (_frac(1 - n, 2), _frac(-n, 2), _frac(1, 2)),
-                (1, 1 - _shift(sq, n) / 2), 1), precision_bits + 8)
+                (1, 1 - (sq + n) / 2), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.P1:
             _require_order_zero(variant, m)
-            sq = _as_param(s)
             pref = (mp.rgamma(mp.mpf(1) / 2) * mp.gamma((n + z) / 2)
                     * mp.rgamma((n + z + 1) / 2))
+            nums, dens = (_frac(1 - n, 2), _frac(-n, 2)), (1 - (sq + n) / 2,)
 
             def integrand(phi, dist_a, dist_b):
                 # the 2F1 terminates for every n, so argument 1 is harmless
-                inner = hyp_pfq(HypergeometricSpec(
-                    (_frac(1 - n, 2), _frac(-n, 2)),
-                    (1 - _shift(sq, n) / 2,), mp.cos(phi) ** 2),
-                    precision_bits)
+                inner = hyp_pfq(HypergeometricSpec(nums, dens, mp.cos(phi) ** 2),
+                                precision_bits)
                 return inner.to_mpc()
 
             quad = tanh_sinh(integrand, 0, mp.pi / 2, precision_bits,
@@ -579,8 +569,8 @@ def mellin_rep(
                     mp.factorial(k) ** 2 * mp.factorial(n - k) ** 2)
                 g = mp.gamma(k + mp.mpf(1) / 2) * mp.rgamma(k + z + mp.mpf(1) / 2)
                 f = hyp_pfq(HypergeometricSpec(
-                    (_frac(1, 2) + k - n, _as_param(s)),
-                    (_frac(1, 2) + k + _as_param(s),), -1), precision_bits + 8)
+                    (_frac(1, 2) + k - n, sq),
+                    (_frac(1, 2) + k + sq,), -1), precision_bits + 8)
                 total += coeff * g * f.to_mpc()
             value = (mp.factorial(n) ** 2 / mp.power(2, n)) * mp.gamma(z) * total
         elif variant is RepVariant.L8:
@@ -618,31 +608,6 @@ def mellin_rep(
         else:  # pragma: no cover - enum is closed
             raise DomainError(f"unknown variant {variant}")
     return HPComplex.from_value(value, precision_bits)
-
-
-def _as_param(s):
-    """Prefer exact parameters so terminating series stay exact."""
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    if isinstance(s, str):
-        return as_rational(s)
-    if isinstance(s, GaussianRational):
-        return s
-    if isinstance(s, HPComplex):
-        return s.to_mpc()
-    return s
-
-
-def _shift(param, k: int):
-    if isinstance(param, (Fraction, GaussianRational)):
-        return param + k
-    return mp.mpc(param) + k
-
-
-def _div2(param):
-    if isinstance(param, (Fraction, GaussianRational)):
-        return param / 2
-    return mp.mpc(param) / 2
 
 
 def _half_pochhammer_ratio(sq, N: int, odd: bool, workprec: int) -> mp.mpc:
@@ -689,13 +654,16 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
     with mp.workprec(workprec):
         tv = to_mpc(t, workprec)
         z = _require_right_half_plane(s, workprec)
+        sq = exact_or_none(s)
+        if sq is None:
+            sq = z
         if not abs(tv) < 1:
             raise DomainError("generating series requires |t| < 1")
 
         even = mp.mpc(0)
         odd = mp.mpc(0)
         for k in range(N + 1):
-            term = mellin_closed(k, 0, _as_param(s), precision_bits + 16).to_mpc() * tv ** k
+            term = mellin_closed(k, 0, sq, precision_bits + 16).to_mpc() * tv ** k
             if k % 2 == 0:
                 even += term
             else:
@@ -704,13 +672,13 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
         zz = 4 * tv * tv / (1 + tv * tv) ** 2
         shared = mp.sqrt(mp.pi) / mp.sqrt(1 + tv * tv)
         line1 = shared * mp.gamma(z / 2) / (2 * mp.gamma((z + 1) / 2)) * hyp_pfq(
-            HypergeometricSpec((_frac(1, 4), _frac(3, 4), _div2(_as_param(s))),
-                               (_frac(1, 2), _shift(_as_param(s), 1) / 2), zz),
+            HypergeometricSpec((_frac(1, 4), _frac(3, 4), sq / 2),
+                               (_frac(1, 2), (sq + 1) / 2), zz),
             precision_bits + 8).to_mpc()
         line2 = shared * (tv / (1 + tv * tv)) * mp.gamma((z + 1) / 2) / (
             z * mp.gamma(z / 2)) * hyp_pfq(
-            HypergeometricSpec((_frac(3, 4), _frac(5, 4), _shift(_as_param(s), 1) / 2),
-                               (_frac(3, 2), _div2(_as_param(s)) + 1), zz),
+            HypergeometricSpec((_frac(3, 4), _frac(5, 4), (sq + 1) / 2),
+                               (_frac(3, 2), sq / 2 + 1), zz),
             precision_bits + 8).to_mpc()
 
         tail = abs(tv) ** (N + 1) / ((1 - abs(tv)) * z.real)

@@ -89,13 +89,6 @@ class HPComplex:
         with mp.workprec(self.precision_bits):
             return mp.mpc(self.real, self.imag)
 
-    @property
-    def is_real(self) -> bool:
-        return self.imag == 0
-
-    def conjugate(self) -> "HPComplex":
-        return HPComplex(self.real, -self.imag, self.precision_bits)
-
     def abs_value(self) -> mp.mpf:
         with mp.workprec(self.precision_bits):
             return mp.sqrt(self.real * self.real + self.imag * self.imag)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,13 +30,17 @@ from .mpcore import (
 )
 
 
+def _pole_index(g: Optional[GaussianRational]) -> Optional[int]:
+    """-g when the exact reading g is a nonpositive integer, else None."""
+    if g is not None and g.im == 0 and g.re.denominator == 1 and g.re <= 0:
+        return int(-g.re)
+    return None
+
+
 def is_nonpositive_integer(value) -> bool:
-    """Exact check; floats qualify only when they carry an exact integer."""
-    g = exact_or_none(value)
-    if g is not None:
-        return g.im == 0 and g.re.denominator == 1 and g.re <= 0
-    z = to_mpc(value, DEFAULT_PRECISION)
-    return z.imag == 0 and mp.isint(z.real) and z.real <= 0
+    """Exact check; floating values qualify only when they hold an exact
+    integer, so a value near a pole is never rounded onto it."""
+    return _pole_index(exact_or_none(value)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -46,18 +51,20 @@ def gamma(z, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
 
     Relative error is a few ulp at the requested precision; the reciprocal
     variant below is total and is the one to use when a vanishing 1/Gamma
-    prefactor must select terms exactly.
+    prefactor must select terms exactly.  The pole check reads z as it is
+    evaluated, so a value that rounds onto a pole at this precision raises
+    PoleError too.
     """
-    if is_nonpositive_integer(z):
+    workprec = precision_bits + GUARD_BITS
+    zv = to_mpc(z, workprec)
+    if is_nonpositive_integer(zv):
         raise PoleError(f"gamma pole at {z}")
-    with mp.workprec(precision_bits + GUARD_BITS):
-        value = mp.gamma(to_mpc(z, precision_bits + GUARD_BITS))
+    with mp.workprec(workprec):
+        value = mp.gamma(zv)
     return HPComplex.from_value(value, precision_bits)
 
 
 def reciprocal_gamma(z, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-    if is_nonpositive_integer(z):
-        return HPComplex(0, 0, precision_bits)
     with mp.workprec(precision_bits + GUARD_BITS):
         value = mp.rgamma(to_mpc(z, precision_bits + GUARD_BITS))
     return HPComplex.from_value(value, precision_bits)
@@ -66,57 +73,36 @@ def reciprocal_gamma(z, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
 # ---------------------------------------------------------------------------
 # zeta family
 
-class ZetaKind(enum.Enum):
-    RIEMANN = "riemann"
-    HURWITZ = "hurwitz"
-    POLYGAMMA = "polygamma"
-
-
-@dataclass(frozen=True)
-class ZetaRequest:
-    kind: ZetaKind
-    s_or_order: object
-    shift: object = None
-
-
-def zeta_family(req: ZetaRequest, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
+def riemann_zeta(s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     with mp.workprec(precision_bits + GUARD_BITS):
-        if req.kind is ZetaKind.RIEMANN:
-            s = to_mpc(req.s_or_order, precision_bits + GUARD_BITS)
-            if s == 1:
-                raise PoleError("zeta pole at s = 1")
-            value = mp.zeta(s)
-        elif req.kind is ZetaKind.HURWITZ:
-            s = to_mpc(req.s_or_order, precision_bits + GUARD_BITS)
-            a = to_mpc(req.shift, precision_bits + GUARD_BITS)
-            if a.real <= 0:
-                raise DomainError(f"Hurwitz shift must have Re > 0, got {a}")
-            if s == 1:
-                raise PoleError("Hurwitz zeta pole at s = 1")
-            value = mp.zeta(s, a)
-        elif req.kind is ZetaKind.POLYGAMMA:
-            order = req.s_or_order
-            if not isinstance(order, int) or order < 0:
-                raise DomainError(f"polygamma order must be a nonnegative integer, got {order}")
-            z = to_mpc(req.shift, precision_bits + GUARD_BITS)
-            if is_nonpositive_integer(z):
-                raise PoleError(f"polygamma pole at {z}")
-            value = mp.polygamma(order, z)
-        else:  # pragma: no cover - enum is closed
-            raise DomainError(f"unknown zeta request kind {req.kind}")
+        s = to_mpc(s, precision_bits + GUARD_BITS)
+        if s == 1:
+            raise PoleError("zeta pole at s = 1")
+        value = mp.zeta(s)
     return HPComplex.from_value(value, precision_bits)
 
 
-def riemann_zeta(s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-    return zeta_family(ZetaRequest(ZetaKind.RIEMANN, s), precision_bits)
-
-
 def hurwitz_zeta(s, a, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-    return zeta_family(ZetaRequest(ZetaKind.HURWITZ, s, a), precision_bits)
+    with mp.workprec(precision_bits + GUARD_BITS):
+        s = to_mpc(s, precision_bits + GUARD_BITS)
+        a = to_mpc(a, precision_bits + GUARD_BITS)
+        if a.real <= 0:
+            raise DomainError(f"Hurwitz shift must have Re > 0, got {a}")
+        if s == 1:
+            raise PoleError("Hurwitz zeta pole at s = 1")
+        value = mp.zeta(s, a)
+    return HPComplex.from_value(value, precision_bits)
 
 
 def polygamma(order: int, z, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-    return zeta_family(ZetaRequest(ZetaKind.POLYGAMMA, order, z), precision_bits)
+    if not isinstance(order, int) or order < 0:
+        raise DomainError(f"polygamma order must be a nonnegative integer, got {order}")
+    with mp.workprec(precision_bits + GUARD_BITS):
+        z = to_mpc(z, precision_bits + GUARD_BITS)
+        if is_nonpositive_integer(z):
+            raise PoleError(f"polygamma pole at {z}")
+        value = mp.polygamma(order, z)
+    return HPComplex.from_value(value, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -192,47 +178,37 @@ class HypergeometricSpec:
         object.__setattr__(self, "denominator_params", tuple(denominator_params))
         object.__setattr__(self, "argument", argument)
 
+    @cached_property
+    def exact(self) -> tuple:
+        """exact_or_none of each numerator parameter, each denominator
+        parameter and the argument, read once per spec."""
+        return (tuple(exact_or_none(p) for p in self.numerator_params),
+                tuple(exact_or_none(p) for p in self.denominator_params),
+                exact_or_none(self.argument))
+
     @property
     def termination_index(self) -> Optional[int]:
         """Last retained series index when a numerator parameter is a
         nonpositive integer; None for non-terminating series."""
-        best = None
-        for p in self.numerator_params:
-            if is_nonpositive_integer(p):
-                g = exact_or_none(p)
-                k = int(-g.re) if g is not None else int(-to_mpc(p, 64).real)
-                best = k if best is None else min(best, k)
-        return best
+        found = [k for k in map(_pole_index, self.exact[0]) if k is not None]
+        return min(found) if found else None
 
 
 def _check_denominator_poles(spec: HypergeometricSpec) -> None:
     n_term = spec.termination_index
-    for d in spec.denominator_params:
-        if is_nonpositive_integer(d):
-            g = exact_or_none(d)
-            pole_at = int(-g.re) + 1 if g is not None else int(-to_mpc(d, 64).real) + 1
-            if n_term is None or n_term >= pole_at:
-                raise PoleError(
-                    f"denominator parameter {d} terminates before the numerator"
-                )
+    for d, g in zip(spec.denominator_params, spec.exact[1]):
+        k = _pole_index(g)
+        if k is not None and (n_term is None or n_term > k):
+            raise PoleError(
+                f"denominator parameter {d} terminates before the numerator"
+            )
 
 
 def _all_exact(spec: HypergeometricSpec) -> Optional[tuple]:
-    nums, dens = [], []
-    for p in spec.numerator_params:
-        g = exact_or_none(p)
-        if g is None:
-            return None
-        nums.append(g)
-    for p in spec.denominator_params:
-        g = exact_or_none(p)
-        if g is None:
-            return None
-        dens.append(g)
-    z = exact_or_none(spec.argument)
-    if z is None:
+    nums, dens, z = spec.exact
+    if z is None or None in nums or None in dens:
         return None
-    return tuple(nums), tuple(dens), z
+    return spec.exact
 
 
 def hyp_terminating_exact(spec: HypergeometricSpec) -> GaussianRational:
@@ -369,22 +345,17 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
     A1 excess-raise attempted in the marginal band.  Anything else is an
     explicit DivergenceError, never a silent wrong answer.
     """
-    nums = list(spec.numerator_params)
-    dens = list(spec.denominator_params)
-
     # cancel identical numerator/denominator parameters (exact matches only)
-    for a in list(nums):
-        ga = exact_or_none(a)
-        for b in list(dens):
-            gb = exact_or_none(b)
-            same = (ga is not None and gb is not None and ga == gb) or (
-                ga is None and gb is None and a is b
-            )
-            if same:
-                nums.remove(a)
-                dens.remove(b)
+    nums = list(zip(spec.numerator_params, spec.exact[0]))
+    dens = list(zip(spec.denominator_params, spec.exact[1]))
+    for a, ga in list(nums):
+        for b, gb in dens:
+            if (ga == gb) if ga is not None else (a is b):
+                nums.remove((a, ga))
+                dens.remove((b, gb))
                 break
-    spec = HypergeometricSpec(nums, dens, spec.argument)
+    if len(dens) < len(spec.denominator_params):
+        spec = HypergeometricSpec([a for a, _ in nums], [b for b, _ in dens], spec.argument)
 
     _check_denominator_poles(spec)
     n_term = spec.termination_index
@@ -392,20 +363,12 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
     with mp.workprec(precision_bits + GUARD_BITS):
         z = to_mpc(spec.argument, precision_bits + GUARD_BITS)
 
-        if any(is_nonpositive_integer(p) and exact_or_none(p) == GaussianRational(0)
-               for p in spec.numerator_params):
-            return HPComplex(1, 0, precision_bits)
-
-        if n_term is not None:
-            exact = _all_exact(spec)
-            if exact is not None:
-                return hyp_terminating_exact(spec).to_hpcomplex(precision_bits)
-            fnums = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.numerator_params]
-            fdens = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.denominator_params]
-            return HPComplex.from_value(_sum_finite(fnums, fdens, z, n_term), precision_bits)
-
+        if n_term is not None and _all_exact(spec) is not None:
+            return hyp_terminating_exact(spec).to_hpcomplex(precision_bits)
         fnums = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.numerator_params]
         fdens = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.denominator_params]
+        if n_term is not None:
+            return HPComplex.from_value(_sum_finite(fnums, fdens, z, n_term), precision_bits)
 
         if abs(z) < 1:
             return HPComplex.from_value(

@@ -4,11 +4,16 @@ schemas, and precision resolution."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import legmellin
 from legmellin import suites
 from legmellin.cli import PRECISION_ENV_VAR, run_command
 from legmellin.mellin import order_one_exact
@@ -28,6 +33,17 @@ def test_poly_is_byte_exact(capsys):
     assert code == 0
     assert out == '{"n":4,"m":0,"coeffs":["9/2","-4","4"]}\n'
     assert err == ""
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(legmellin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "legmellin", "poly", "--n", "4"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == '{"n":4,"m":0,"coeffs":["9/2","-4","4"]}\n'
+    assert done.stderr == ""
 
 
 def test_poly_with_order(capsys):

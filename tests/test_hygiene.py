@@ -39,3 +39,42 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_imports_only_what_it_uses(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(tree):
+    """Module-level names starting with a single underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree):
+    """Names read, attributes read, and names imported anywhere in tree."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.arg):
+            refs |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            refs |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            refs |= _annotation_names(node.annotation)
+    return refs
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_private_names_are_referenced(path):
+    referenced = set()
+    for module in SRC.glob("*.py"):
+        referenced |= _references(ast.parse(module.read_text()))
+    assert sorted(_private_definitions(ast.parse(path.read_text())) - referenced) == []

@@ -8,13 +8,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from legmellin import specfun
 from legmellin.errors import DivergenceError, DomainError, PoleError
 from legmellin.mpcore import GaussianRational, HPComplex
 from legmellin.specfun import (
     HypergeometricSpec,
     TransformId,
-    ZetaKind,
-    ZetaRequest,
     double_factorial,
     ferrers,
     gamma,
@@ -30,7 +29,6 @@ from legmellin.specfun import (
     reciprocal_gamma,
     riemann_zeta,
     threeF2_transform_check,
-    zeta_family,
 )
 
 
@@ -101,7 +99,7 @@ def test_zeta_pole_and_domain_errors():
     with pytest.raises(DomainError):
         hurwitz_zeta(2, -1)
     with pytest.raises(DomainError):
-        zeta_family(ZetaRequest(ZetaKind.POLYGAMMA, Fraction(1, 2), 1))
+        polygamma(Fraction(1, 2), 1)
 
 
 def test_polygamma_one_at_one():
@@ -117,6 +115,24 @@ def test_is_nonpositive_integer_readings():
     assert not is_nonpositive_integer(Fraction(-1, 2))
     assert not is_nonpositive_integer(GaussianRational(-2, 1))
     assert not is_nonpositive_integer(3)
+    assert not is_nonpositive_integer(_near_pole())
+
+
+def _near_pole():
+    """-2 + 2^-300, which no 256-bit reading can tell from the pole at -2."""
+    with mp.workprec(600):
+        return mp.mpf(-2) + mp.mpf(2) ** -300
+
+
+def test_gamma_just_off_a_pole_is_not_rounded_onto_it():
+    x = _near_pole()
+    got = gamma(x, 512)
+    with mp.workprec(1200):
+        want = mp.gamma(x)
+        assert abs(got.to_mpc() - want) <= abs(want) * mp.mpf(2) ** -500
+    # at 128 bits x rounds onto the pole: a typed refusal, not mpmath's error
+    with pytest.raises(PoleError):
+        gamma(x, 128)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +213,31 @@ def test_disk_series_matches_mpmath():
         want = mp.hyper([mp.mpf(1) / 3, mp.mpf(1) / 5], [mp.mpf(9) / 7],
                         mp.mpf(2) / 5)
         assert abs(got.to_mpc() - want) < mp.mpf(2) ** -176
+
+
+def test_parameter_just_off_a_pole_does_not_terminate_the_series():
+    x = _near_pole()
+    got = hyp_pfq(HypergeometricSpec((x, Fraction(1, 3)), (Fraction(7, 5),),
+                                     Fraction(1, 2)), 512)
+    with mp.workprec(1500):
+        want = mp.hyp2f1(x, mp.mpf(1) / 3, mp.mpf(7) / 5, mp.mpf(1) / 2)
+        assert abs(got.to_mpc() - want) <= abs(want) * mp.mpf(2) ** -500
+
+
+def test_hyp_pfq_reads_each_scalar_once(monkeypatch):
+    reads = []
+    exact_or_none = specfun.exact_or_none
+
+    def counted(value):
+        reads.append(value)
+        return exact_or_none(value)
+
+    monkeypatch.setattr(specfun, "exact_or_none", counted)
+    # p + q + 1 = 4 scalars, none cancelling
+    spec = HypergeometricSpec((Fraction(1, 3), Fraction(1, 5)),
+                              (Fraction(9, 7),), Fraction(2, 5))
+    hyp_pfq(spec, 128)
+    assert len(reads) <= 4
 
 
 def test_gauss_value_at_unit_argument():

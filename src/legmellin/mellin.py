@@ -34,6 +34,7 @@ from .specfun import (
     ferrers,
     hyp_pfq,
     pochhammer_rational,
+    terminating_series,
 )
 
 
@@ -550,13 +551,12 @@ def mellin_rep(
             _require_order_zero(variant, m)
             pref = (mp.rgamma(mp.mpf(1) / 2) * mp.gamma((n + z) / 2)
                     * mp.rgamma((n + z + 1) / 2))
-            nums, dens = (_frac(1 - n, 2), _frac(-n, 2)), (1 - (sq + n) / 2,)
+            # the 2F1 terminates for every n, so argument 1 is harmless
+            series = terminating_series((_frac(1 - n, 2), _frac(-n, 2)),
+                                        (1 - (sq + n) / 2,), precision_bits)
 
             def integrand(phi, dist_a, dist_b):
-                # the 2F1 terminates for every n, so argument 1 is harmless
-                inner = hyp_pfq(HypergeometricSpec(nums, dens, mp.cos(phi) ** 2),
-                                precision_bits)
-                return inner.to_mpc()
+                return series(mp.cos(phi) ** 2).to_mpc()
 
             quad = tanh_sinh(integrand, 0, mp.pi / 2, precision_bits,
                              tolerance=mp.mpf(2) ** (-(precision_bits // 2 + 8)))

@@ -190,13 +190,17 @@ class HypergeometricSpec:
     def termination_index(self) -> Optional[int]:
         """Last retained series index when a numerator parameter is a
         nonpositive integer; None for non-terminating series."""
-        found = [k for k in map(_pole_index, self.exact[0]) if k is not None]
-        return min(found) if found else None
+        return _termination_index(self.exact[0])
 
 
-def _check_denominator_poles(spec: HypergeometricSpec) -> None:
-    n_term = spec.termination_index
-    for d, g in zip(spec.denominator_params, spec.exact[1]):
+def _termination_index(exact_nums) -> Optional[int]:
+    found = [k for k in map(_pole_index, exact_nums) if k is not None]
+    return min(found) if found else None
+
+
+def _check_denominator_poles(dens, n_term: Optional[int]) -> None:
+    """dens holds (parameter, exact reading) pairs."""
+    for d, g in dens:
         k = _pole_index(g)
         if k is not None and (n_term is None or n_term > k):
             raise PoleError(
@@ -204,48 +208,124 @@ def _check_denominator_poles(spec: HypergeometricSpec) -> None:
             )
 
 
-def _all_exact(spec: HypergeometricSpec) -> Optional[tuple]:
-    nums, dens, z = spec.exact
-    if z is None or None in nums or None in dens:
-        return None
-    return spec.exact
+def _cancel_pairs(nums, dens) -> tuple:
+    """Drop equal numerator/denominator pairs from the (parameter, exact
+    reading) pairs nums and dens; exact readings must match, inexact
+    parameters must be the same object.  A nonpositive integer pair -N/-N
+    is kept: its numerator ends the series at N, which cancelling would
+    lose."""
+    nums, dens = list(nums), list(dens)
+    for a, ga in list(nums):
+        if _pole_index(ga) is not None:
+            continue
+        for b, gb in dens:
+            if (ga == gb) if ga is not None else (a is b):
+                nums.remove((a, ga))
+                dens.remove((b, gb))
+                break
+    return nums, dens
 
 
 def hyp_terminating_exact(spec: HypergeometricSpec) -> GaussianRational:
     """Exact Gaussian-rational sum of a terminating series with exact inputs."""
-    exact = _all_exact(spec)
-    if exact is None:
+    nums, dens, z = spec.exact
+    if z is None or None in nums or None in dens:
         raise DomainError("exact path requires rational parameters and argument")
-    n_term = spec.termination_index
+    n_term = _termination_index(nums)
     if n_term is None:
         raise DomainError("exact path requires a terminating series")
-    _check_denominator_poles(spec)
-    nums, dens, z = exact
-    total = GaussianRational(0)
+    _check_denominator_poles(zip(spec.denominator_params, dens), n_term)
+    total = GaussianRational(1)
     term = GaussianRational(1)
-    for k in range(n_term + 1):
-        total = total + term
+    for k in range(n_term):
         factor = GaussianRational(1)
         for a in nums:
             factor = factor * (a + k)
         for b in dens:
             factor = factor / (b + k)
         term = term * factor * z / (k + 1)
+        total = total + term
     return total
 
 
-def _sum_finite(nums, dens, z, n_term: int) -> mp.mpc:
-    total = mp.mpc(0)
-    term = mp.mpc(1)
-    for k in range(n_term + 1):
-        total += term
+def _term_ratios(nums, dens, n_term: int) -> list:
+    """prod (a + k) / prod (b + k) for k < n_term, at the ambient precision;
+    term k + 1 is term k * ratio_k * z / (k + 1)."""
+    ratios = []
+    for k in range(n_term):
         factor = mp.mpc(1)
         for a in nums:
             factor *= a + k
         for b in dens:
             factor /= b + k
-        term = term * factor * z / (k + 1)
+        ratios.append(factor)
+    return ratios
+
+
+def _sum_ratios(ratios, z) -> mp.mpc:
+    total = mp.mpc(1)
+    term = mp.mpc(1)
+    for k, ratio in enumerate(ratios):
+        term = term * ratio * z / (k + 1)
+        total += term
     return total
+
+
+class _TerminatingSeries:
+    """z -> HPComplex for one terminating pFq, built by terminating_series.
+
+    The parameters are read, cancelled and checked once.  An exact z with
+    exact parameters is summed exactly, once per distinct z; any other z
+    sums term ratios built on the first such call.
+    """
+
+    def __init__(self, nums, dens, precision_bits: int):
+        # nums, dens: (parameter, exact reading) pairs, already cancelled
+        self.n_term = _termination_index(g for _, g in nums)
+        if self.n_term is None:
+            raise DomainError("not a terminating series")
+        _check_denominator_poles(dens, self.n_term)
+        self.nums, self.dens = nums, dens
+        self.exact = all(g is not None for _, g in nums + dens)
+        self.precision_bits = precision_bits
+        self.ratios = None
+        self.exact_values = {}
+
+    def __call__(self, z) -> HPComplex:
+        return self.at(z, exact_or_none(z) if self.exact else None)
+
+    def at(self, z, zq: Optional[GaussianRational]) -> HPComplex:
+        """The value at z, whose exact reading zq is already known."""
+        if self.exact and zq is not None:
+            value = self.exact_values.get(zq)
+            if value is None:
+                value = hyp_terminating_exact(HypergeometricSpec(
+                    [g for _, g in self.nums], [g for _, g in self.dens], zq)
+                ).to_hpcomplex(self.precision_bits)
+                self.exact_values[zq] = value
+            return value
+        workprec = self.precision_bits + GUARD_BITS
+        with mp.workprec(workprec):
+            if self.ratios is None:
+                self.ratios = _term_ratios([to_mpc(a, workprec) for a, _ in self.nums],
+                                           [to_mpc(b, workprec) for b, _ in self.dens],
+                                           self.n_term)
+            total = _sum_ratios(self.ratios, to_mpc(z, workprec))
+        return HPComplex.from_value(total, self.precision_bits)
+
+
+def terminating_series(nums: Sequence, dens: Sequence,
+                       precision_bits: int = DEFAULT_PRECISION) -> _TerminatingSeries:
+    """The terminating pFq(nums; dens; z) as a function of z alone.
+
+    Each value equals hyp_pfq(HypergeometricSpec(nums, dens, z),
+    precision_bits) bit for bit; the parameter work is done once, not once
+    per z.  Raises DomainError when no numerator parameter is a
+    nonpositive integer, PoleError when a denominator one ends first.
+    """
+    return _TerminatingSeries(*_cancel_pairs([(a, exact_or_none(a)) for a in nums],
+                                             [(b, exact_or_none(b)) for b in dens]),
+                              precision_bits)
 
 
 def _sum_inside_disk(nums, dens, z, precision_bits: int) -> mp.mpc:
@@ -338,37 +418,24 @@ def _a1_raised(nums, dens, precision_bits: int) -> Optional[mp.mpc]:
 def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """Evaluate a pFq request.
 
-    Strategy order: cancel matching parameters; terminating series (exact
+    Strategy order: cancel matching parameters, except a nonpositive
+    integer pair; terminating series through terminating_series (exact
     when inputs are exact); |z| < 1 direct with a geometric tail bound;
     z = -1 for 2F1 via Pfaff to argument 1/2; z = 1 by Gauss (2F1) or the
     unit-argument engine when the convergence excess allows, with a single
     A1 excess-raise attempted in the marginal band.  Anything else is an
     explicit DivergenceError, never a silent wrong answer.
     """
-    # cancel identical numerator/denominator parameters (exact matches only)
-    nums = list(zip(spec.numerator_params, spec.exact[0]))
-    dens = list(zip(spec.denominator_params, spec.exact[1]))
-    for a, ga in list(nums):
-        for b, gb in dens:
-            if (ga == gb) if ga is not None else (a is b):
-                nums.remove((a, ga))
-                dens.remove((b, gb))
-                break
-    if len(dens) < len(spec.denominator_params):
-        spec = HypergeometricSpec([a for a, _ in nums], [b for b, _ in dens], spec.argument)
-
-    _check_denominator_poles(spec)
-    n_term = spec.termination_index
+    nums, dens = _cancel_pairs(zip(spec.numerator_params, spec.exact[0]),
+                               zip(spec.denominator_params, spec.exact[1]))
+    if _termination_index(g for _, g in nums) is not None:
+        return _TerminatingSeries(nums, dens, precision_bits).at(spec.argument, spec.exact[2])
+    _check_denominator_poles(dens, None)
 
     with mp.workprec(precision_bits + GUARD_BITS):
         z = to_mpc(spec.argument, precision_bits + GUARD_BITS)
-
-        if n_term is not None and _all_exact(spec) is not None:
-            return hyp_terminating_exact(spec).to_hpcomplex(precision_bits)
-        fnums = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.numerator_params]
-        fdens = [to_mpc(p, precision_bits + GUARD_BITS) for p in spec.denominator_params]
-        if n_term is not None:
-            return HPComplex.from_value(_sum_finite(fnums, fdens, z, n_term), precision_bits)
+        fnums = [to_mpc(a, precision_bits + GUARD_BITS) for a, _ in nums]
+        fdens = [to_mpc(b, precision_bits + GUARD_BITS) for b, _ in dens]
 
         if abs(z) < 1:
             return HPComplex.from_value(
@@ -419,9 +486,9 @@ class TransformId(enum.Enum):
 
 
 def _f32(nums, dens, precision_bits) -> mp.mpc:
-    n_term = HypergeometricSpec(nums, dens, 1).termination_index
+    n_term = _termination_index(map(exact_or_none, nums))
     if n_term is not None:
-        return _sum_finite(nums, dens, mp.mpf(1), n_term)
+        return _sum_ratios(_term_ratios(nums, dens, n_term), mp.mpf(1))
     if _excess(nums, dens) <= 0:
         raise DivergenceError("3F2(1) side series diverges")
     return _hyper_unit(nums, dens, precision_bits)

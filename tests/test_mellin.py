@@ -1,6 +1,8 @@
 """Closed forms, polynomial factors, representation catalog, generating
 series."""
 
+import contextlib
+import signal
 import sys
 from fractions import Fraction
 
@@ -9,7 +11,15 @@ import pytest
 
 from legmellin import mellin
 from legmellin.errors import DomainError
-from legmellin.mpcore import HPComplex, RationalPolynomial
+from legmellin.mpcore import (
+    GUARD_BITS,
+    HPComplex,
+    RationalPolynomial,
+    exact_or_none,
+    to_mpc,
+)
+from legmellin.quadrature import tanh_sinh
+from legmellin.specfun import HypergeometricSpec, hyp_pfq
 from legmellin.mellin import (
     RepVariant,
     genfun,
@@ -263,6 +273,60 @@ def test_quadrature_variants_close():
         want = mellin_closed(3, 0, Fraction(3, 2), 110)
         with mp.workprec(160):
             assert abs(got.to_mpc() - want.to_mpc()) < mp.mpf(10) ** -15, variant
+
+
+def _p1_per_node(n, s, prec):
+    """P1 with its 2F1 evaluated by hyp_pfq at every quadrature node: the
+    straightforward form that mellin_rep must reproduce bit for bit."""
+    workprec = prec + GUARD_BITS
+    with mp.workprec(workprec):
+        z = to_mpc(s, workprec)
+        sq = exact_or_none(s)
+        if sq is None:
+            sq = z
+        pref = (mp.rgamma(mp.mpf(1) / 2) * mp.gamma((n + z) / 2)
+                * mp.rgamma((n + z + 1) / 2))
+        nums, dens = (Fraction(1 - n, 2), Fraction(-n, 2)), (1 - (sq + n) / 2,)
+
+        def integrand(phi, dist_a, dist_b):
+            return hyp_pfq(HypergeometricSpec(nums, dens, mp.cos(phi) ** 2),
+                           prec).to_mpc()
+
+        quad = tanh_sinh(integrand, 0, mp.pi / 2, prec,
+                         tolerance=mp.mpf(2) ** (-(prec // 2 + 8)))
+        value = pref * quad.value
+    return HPComplex.from_value(value, prec)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 18])
+def test_p1_equals_per_node_hypergeometric_bitwise(n):
+    for s in (Fraction(3, 4), Fraction(5, 2), HPComplex(2, 3, 128)):
+        got = mellin_rep(RepVariant.P1, n, 0, s, 128)
+        want = _p1_per_node(n, s, 128)
+        assert got.real == want.real and got.imag == want.imag, s
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_p1_at_s_two_keeps_its_terminating_pair(n):
+    # at s = 2 the 2F1's denominator 1 - (s + n)/2 equals its numerator -n/2
+    with _deadline(10):
+        got = mellin_rep(RepVariant.P1, n, 0, 2, 160)
+    want = mellin_closed(n, 0, 2, 160)
+    with mp.workprec(200):
+        assert abs(got.to_mpc() - want.to_mpc()) < mp.mpf(10) ** -15
 
 
 def test_defective_variant_pinned():

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legmellin import specfun
 from legmellin.errors import DivergenceError, DomainError, PoleError
-from legmellin.mpcore import GaussianRational, HPComplex
+from legmellin.mpcore import GUARD_BITS, GaussianRational, HPComplex
 from legmellin.specfun import (
     HypergeometricSpec,
     TransformId,
@@ -28,6 +30,7 @@ from legmellin.specfun import (
     polygamma,
     reciprocal_gamma,
     riemann_zeta,
+    terminating_series,
     threeF2_transform_check,
 )
 
@@ -238,6 +241,113 @@ def test_hyp_pfq_reads_each_scalar_once(monkeypatch):
                               (Fraction(9, 7),), Fraction(2, 5))
     hyp_pfq(spec, 128)
     assert len(reads) <= 4
+
+
+def test_nonpositive_integer_pair_still_terminates():
+    # F(-2, 1/3; -2; 1/2) = 1 + 1/6 + 1/18; cancelling the -2/-2 pair would
+    # sum (1 - z)^(-1/3) instead
+    spec = HypergeometricSpec((-2, Fraction(1, 3)), (-2,), Fraction(1, 2))
+    assert hyp_terminating_exact(spec) == GaussianRational(Fraction(11, 9))
+    assert hyp_pfq(spec, 128) == GaussianRational(Fraction(11, 9)).to_hpcomplex(128)
+
+
+def test_nonpositive_integer_pair_with_a_float_parameter():
+    with mp.workprec(152):
+        third = mp.mpf(1) / 3
+    got = hyp_pfq(HypergeometricSpec((-2, third), (-2,), Fraction(1, 2)), 128)
+    with mp.workprec(200):
+        want = mp.hyp2f1(-2, third, -2, mp.mpf(1) / 2)
+        assert abs(got.to_mpc() - want) < mp.mpf(2) ** -60
+
+
+_SERIES_PARAMS = [
+    ((-5, Fraction(1, 3)), (Fraction(7, 4),)),
+    # a cancelling pair and a -N/-N pair that must stay
+    ((-4, Fraction(1, 2), Fraction(2, 3)), (Fraction(2, 3), -4)),
+    ((-6, mp.mpc("0.3", "0.2")), (mp.mpc("1.7", "-0.4"),)),
+]
+
+
+def _series_points():
+    with mp.workprec(152):
+        cos2 = mp.cos(mp.mpf("0.7")) ** 2
+    return [0, 1, Fraction(1, 3), cos2, mp.mpc("0.25", "-0.5")]
+
+
+@pytest.mark.parametrize("nums, dens", _SERIES_PARAMS, ids=["2F1", "3F2", "mpc"])
+def test_terminating_series_equals_hyp_pfq_bitwise(nums, dens):
+    series = terminating_series(nums, dens, 128)
+    for z in _series_points():
+        got = series(z)
+        want = hyp_pfq(HypergeometricSpec(nums, dens, z), 128)
+        assert got.real == want.real and got.imag == want.imag, z
+
+
+def test_terminating_series_sums_exactly_once_per_argument(monkeypatch):
+    exact_sums, ratio_builds = [], []
+    exact, ratios = specfun.hyp_terminating_exact, specfun._term_ratios
+
+    def counted_exact(spec):
+        exact_sums.append(spec)
+        return exact(spec)
+
+    def counted_ratios(*args):
+        ratio_builds.append(args)
+        return ratios(*args)
+
+    monkeypatch.setattr(specfun, "hyp_terminating_exact", counted_exact)
+    monkeypatch.setattr(specfun, "_term_ratios", counted_ratios)
+    series = terminating_series((-7, Fraction(1, 3)), (Fraction(5, 2),), 128)
+    first = series(1)
+    for _ in range(19):
+        assert series(mp.mpf(1)) == first
+    assert len(exact_sums) == 1
+    assert not ratio_builds
+    series(mp.mpf("0.5"))
+    series(mp.mpf("0.25"))
+    assert len(ratio_builds) == 1
+
+
+def test_terminating_series_refuses_what_it_cannot_sum():
+    with pytest.raises(DomainError):
+        terminating_series((Fraction(1, 3),), (2,), 128)
+    with pytest.raises(PoleError):
+        terminating_series((-3, Fraction(1, 3)), (-2,), 128)
+
+
+_small_rational = st.builds(Fraction, st.integers(-12, 12), st.integers(2, 5))
+_positive_rational = st.builds(Fraction, st.integers(1, 12), st.integers(1, 5))
+
+
+@st.composite
+def _terminating_requests(draw):
+    n = draw(st.integers(0, 6))
+    nums = [-n] + draw(st.lists(_small_rational.filter(lambda a: a.denominator > 1),
+                                max_size=2))
+    dens = draw(st.lists(_positive_rational, max_size=1 if draw(st.booleans()) else 2))
+    if draw(st.booleans()):
+        dens = [-n] + dens[:1]
+    z = draw(st.builds(Fraction, st.integers(-8, 8), st.just(8)))
+    return nums, dens, z
+
+
+@settings(max_examples=50, deadline=2000)
+@given(_terminating_requests())
+def test_terminating_pfq_matches_mpmath(request):
+    nums, dens, z = request
+    prec = 128
+    with mp.workprec(prec + 64):
+        want = mp.hyper([mp.mpf(a.numerator) / a.denominator for a in map(Fraction, nums)],
+                        [mp.mpf(b.numerator) / b.denominator for b in map(Fraction, dens)],
+                        mp.mpf(z.numerator) / z.denominator)
+        bound = mp.mpf(2) ** -(prec - 8) * max(1, abs(want))
+    with mp.workprec(prec + GUARD_BITS):
+        zf = mp.mpf(z.numerator) / z.denominator
+    # the exact path, and the float path through an inexact argument
+    for arg in (z, zf):
+        got = hyp_pfq(HypergeometricSpec(nums, dens, arg), prec)
+        with mp.workprec(prec + 64):
+            assert abs(got.to_mpc() - want) <= bound, arg
 
 
 def test_gauss_value_at_unit_argument():

@@ -533,7 +533,8 @@ def pair_integral_quadrature(
     x = 1/(k+t), into integrals of Hurwitz zeta against t dt, which are
     summed exactly (`_zeta_moment_integral`), with a geometric truncation
     bound in the expansion order.  The error bound adds the segments'
-    error estimates and the truncation bound.
+    tanh-sinh error estimates (extrapolated from the last two levels, see
+    `quadrature.tanh_sinh`) and the truncation bound.
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
@@ -826,7 +827,8 @@ def _inner_exact(alpha: int, k: int, z, workprec) -> mp.mpc:
 
 
 def _inner_quadrature(aa, k: int, z, workprec, tol) -> Tuple[mp.mpc, mp.mpf]:
-    """int_0^1 u^alpha (u+k)^-(s+1) du by tanh-sinh, with its error estimate."""
+    """int_0^1 u^alpha (u+k)^-(s+1) du by tanh-sinh, with tanh-sinh's error
+    estimate (extrapolated from the last two levels)."""
     def f(u, dist_a, dist_b):
         return dist_a ** aa * (u + k) ** (-(z + 1))
 
@@ -844,7 +846,9 @@ def numeric_fracpart_oracle(
     The k-sum runs the first few dozen terms with the inner integral done
     exactly (alpha 1 or 2) or by quadrature; the remainder expands
     (u+k)^-(s+1) about u = 1, turning into Beta factors against Hurwitz
-    zetas, summed until the expansion terms pass below tolerance.  Real
+    zetas, summed until the expansion terms pass below tolerance.  The
+    error bound adds the tail bound and, for quadrature inner integrals,
+    k^beta times each one's extrapolated tanh-sinh error estimate.  Real
     parameter sets also get the elementary sandwich bounds.
     """
     if _rational_or_none(spec.b) != 1 or _rational_or_none(spec.alpha_denom) != 0:
@@ -935,7 +939,9 @@ def frac_weight_quadrature(
     same fold as the paired-integral oracle: the k-tail becomes Hurwitz
     zeta integrals via x = 1/(k+t), with the weight expanded binomially in
     (k+t)^-b, and each of those is summed exactly
-    (`_zeta_moment_integral`).  Only the segments are quadrature.
+    (`_zeta_moment_integral`).  Only the segments are quadrature; their
+    extrapolated tanh-sinh error estimates and the tail cap make up the
+    error bound.
     """
     workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):

@@ -166,13 +166,21 @@ class GaussianRational:
     def i_power(cls, k: int) -> "GaussianRational":
         return (cls(1), cls(0, 1), cls(-1), cls(0, -1))[k % 4]
 
+    # int and Fraction operands skip the Gaussian wrapper, and a real
+    # divisor divides each part; the results are the Fractions the general
+    # formulas give
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re + other, self.im)
         other = _as_gaussian(other)
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re - other, self.im)
         other = _as_gaussian(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
@@ -180,6 +188,8 @@ class GaussianRational:
         return _as_gaussian(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
         other = _as_gaussian(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -189,14 +199,18 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gaussian(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if not isinstance(other, (int, Fraction)):
+            other = _as_gaussian(other)
+            if other.im != 0:
+                d = other.re * other.re + other.im * other.im
+                return GaussianRational(
+                    (self.re * other.re + self.im * other.im) / d,
+                    (self.im * other.re - self.re * other.im) / d,
+                )
+            other = other.re
+        if other == 0:
             raise ZeroDivisionError("division by Gaussian-rational zero")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return GaussianRational(self.re / other, self.im / other)
 
     def __rtruediv__(self, other):
         return _as_gaussian(other) / self

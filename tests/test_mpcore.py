@@ -78,6 +78,47 @@ def test_gaussian_rational_mul_matches_complex(ar, ai, br, bi):
     assert prod.im == ar * bi + ai * br
 
 
+def _general(op, a, b):
+    # the full complex formulas on (re, im) pairs of Fractions
+    (ar, ai), (br, bi) = a, b
+    if op == "+":
+        return ar + br, ai + bi
+    if op == "-":
+        return ar - br, ai - bi
+    if op == "*":
+        return ar * br - ai * bi, ar * bi + ai * br
+    d = br * br + bi * bi
+    return (ar * br + ai * bi) / d, (ai * br - ar * bi) / d
+
+
+_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+        "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+@given(rationals, rationals, st.one_of(st.integers(-50, 50), rationals),
+       st.sampled_from(["int/Fraction", "real Gaussian", "complex Gaussian"]),
+       st.sampled_from(sorted(_OPS)))
+@settings(max_examples=200, deadline=None)
+def test_gaussian_rational_mixed_operands_match_general_formula(ar, ai, x, kind, op):
+    a = GaussianRational(ar, ai)
+    if kind == "int/Fraction":
+        other, parts = x, (Fraction(x), Fraction(0))
+    elif kind == "real Gaussian":
+        other, parts = GaussianRational(x), (Fraction(x), Fraction(0))
+    else:
+        other, parts = GaussianRational(x, ar + 1), (Fraction(x), ar + 1)
+    for left, right, lparts, rparts in ((a, other, (ar, ai), parts),
+                                        (other, a, parts, (ar, ai))):
+        if op == "/" and rparts == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                _OPS[op](left, right)
+            continue
+        got = _OPS[op](left, right)
+        assert isinstance(got, GaussianRational)
+        assert (got.re, got.im) == _general(op, lparts, rparts)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+
+
 def test_gaussian_i_powers_cycle():
     assert GaussianRational.i_power(0) == GaussianRational(1)
     assert GaussianRational.i_power(1) == GaussianRational(0, 1)

@@ -6,7 +6,9 @@ import pytest
 
 from legmellin import quadrature
 from legmellin.errors import ConvergenceError, DomainError
+from legmellin.mellin import mellin_closed
 from legmellin.quadrature import tanh_sinh
+from legmellin.specfun import ferrers
 
 
 def _tol(prec):
@@ -64,6 +66,59 @@ def test_unreachable_tolerance_raises():
 
 
 # ---------------------------------------------------------------------------
+# the extrapolated error estimate
+
+_S = mp.mpc(2, 3)
+
+
+def _tanh_quad(n):
+    # the TANH_QUAD integrand of mellin_rep, order 0
+    def f(v, dist_a, dist_b):
+        denom = 1 + v * v
+        x = dist_b * (1 + v) / denom
+        return 2 * mp.power(x, _S - 1) * ferrers(n, 0, x) / denom
+    return f
+
+
+_PANEL = {
+    "x^2": (lambda x, da, db: x * x, lambda: mp.mpf(1) / 3),
+    "sin": (lambda x, da, db: mp.sin(x), lambda: 1 - mp.cos(1)),
+    "rsqrt": (lambda x, da, db: 1 / mp.sqrt(da), lambda: mp.mpf(2)),
+    "log": (lambda x, da, db: -mp.log(da), lambda: mp.mpf(1)),
+    "arcsine": (lambda x, da, db: 1 / mp.sqrt(db * (1 + x)), lambda: mp.pi / 2),
+    "tanh_quad9": (_tanh_quad(9), lambda: mellin_closed(9, 0, _S, 320).to_mpc()),
+    "tanh_quad20": (_tanh_quad(20), lambda: mellin_closed(20, 0, _S, 320).to_mpc()),
+}
+
+# levels the rule that stopped on the last inter-level difference needed,
+# at 96, 128 and 160 bits: default tolerance, then 2^-(prec/2 + 8) (the
+# tolerance of the mellin_rep quadrature rows)
+_DIFFERENCE_RULE_LEVELS = {
+    "x^2": (5, 5, 5, 4, 4, 5),
+    "sin": (5, 5, 5, 4, 4, 5),
+    "rsqrt": (4, 5, 5, 4, 4, 4),
+    "log": (4, 5, 5, 4, 4, 4),
+    "arcsine": (5, 5, 5, 4, 4, 5),
+    "tanh_quad9": (6, 6, 6, 5, 5, 6),
+    "tanh_quad20": (6, 6, 7, 6, 6, 6),
+}
+
+
+@pytest.mark.parametrize("half_tolerance", [False, True])
+@pytest.mark.parametrize("prec", [96, 128, 160])
+@pytest.mark.parametrize("name", list(_PANEL))
+def test_error_estimate_is_honest(name, prec, half_tolerance):
+    f, exact = _PANEL[name]
+    tol = mp.mpf(2) ** (-(prec // 2 + 8) if half_tolerance else -prec)
+    res = tanh_sinh(f, 0, 1, prec, tolerance=tol)
+    with mp.workprec(320):
+        true_err = abs(mp.mpc(res.value) - exact())
+        assert true_err <= max(res.error_estimate, tol * (1 + abs(res.value)))
+    column = [96, 128, 160].index(prec) + 3 * half_tolerance
+    assert res.levels_used <= _DIFFERENCE_RULE_LEVELS[name][column]
+
+
+# ---------------------------------------------------------------------------
 # node cache
 
 def _sine(x, da, db):
@@ -101,9 +156,11 @@ def test_singular_integrand_after_warming_elsewhere():
 
 
 @pytest.mark.parametrize("a, b, prec, levels, nodes", [
-    (0, 1, 128, 5, 343), (-1, 3, 96, 5, 331), (2, 5, 96, 5, 331)])
+    (0, 1, 128, 4, 179), (-1, 3, 96, 4, 173), (2, 5, 96, 4, 173)])
 def test_node_counts_do_not_depend_on_the_cache(a, b, prec, levels, nodes):
-    # counts of the uncached implementation, for int_a^b sin x dx
+    # counts of a cache-cleared run, for int_a^b sin x dx; the second
+    # pass is served from the cache
+    quadrature._unit_node.cache_clear()
     for _ in range(2):
         res = tanh_sinh(_sine, a, b, prec)
         assert (res.levels_used, res.nodes_used) == (levels, nodes)

@@ -10,8 +10,9 @@ Everything in here is one of three kinds of object:
   power sum), each with an explicit tail bound or acceleration; and
 * independent numeric oracles: a k-sum with exact inner integrals for the
   moment integrals, and, for the weighted and paired integrals, tanh-sinh
-  quadrature over the unit-fraction segments plus a tail past the last
-  segment that is summed exactly as Hurwitz zetas.
+  quadrature over the unit-fraction segments [1/(k+1), 1/k], k < _SEGMENTS,
+  plus a tail past the last segment that is summed exactly as Hurwitz
+  zetas.
 
 Closed forms are never trusted on their own; the test suite pins each one
 against the matching oracle.
@@ -19,11 +20,13 @@ against the matching oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterable, Optional, Tuple
 
 from mpmath import mp
 
@@ -41,6 +44,8 @@ from .quadrature import tanh_sinh
 
 _TAIL_GUARD = 64  # for the cancelling terms of _zeta_moment_integral
 _SERIES_BUDGET = 200_000
+_SEGMENTS = 12  # the oracles' quadrature stops at x = 1/_SEGMENTS
+_HEAD_TERMS = 64  # explicit terms of sublemma_sum_series before its fold
 
 
 def _rational_or_none(value) -> Optional[Fraction]:
@@ -53,23 +58,32 @@ def _default_tolerance(precision_bits: int) -> mp.mpf:
     return mp.mpf(2) ** (-(precision_bits - 8))
 
 
+def _weight_args(s, b, workprec: int) -> Tuple[mp.mpc, mp.mpf]:
+    """s and b of the weighted transform, read as Re s > 1 and a positive real b."""
+    z = to_mpc(s, workprec)
+    bb = to_mpc(b, workprec)
+    if not z.real > 1:
+        raise DomainError("need Re s > 1")
+    if bb.imag != 0 or not bb.real > 0:
+        raise DomainError("b must be a positive real")
+    return z, bb.real
+
+
 # ---------------------------------------------------------------------------
 # integral parameter record
 
 @dataclass(frozen=True)
 class FracIntegralSpec:
-    """Parameters of int_0^1 {1/t}^alpha [1/t]^beta t^(s-1) (1-t^b)^(-alpha_denom) dt.
+    """Parameters of int_0^1 {1/t}^alpha [1/t]^beta t^(s-1) dt.
 
     beta is a true integer exponent; alpha may be any exponent with
-    Re alpha > -1.  The weight exponent alpha_denom is kept separate from
-    alpha because the two never apply at once in the closed forms.
+    Re alpha > -1.  The weighted transform has its own functions
+    (frac_general, frac_weight_quadrature).
     """
 
     alpha: object
     beta: int
     s: object
-    b: object = 1
-    alpha_denom: object = 0
 
     def __post_init__(self):
         if not isinstance(self.beta, int) or self.beta < 0:
@@ -80,12 +94,6 @@ class FracIntegralSpec:
         s = to_mpc(self.s, DEFAULT_PRECISION)
         if not s.real > self.beta:
             raise DomainError(f"need Re s > beta = {self.beta}")
-        b = to_mpc(self.b, DEFAULT_PRECISION)
-        if b.imag != 0 or not b.real > 0:
-            raise DomainError("b must be a positive real")
-        w = to_mpc(self.alpha_denom, DEFAULT_PRECISION)
-        if not (0 <= w.real < 1):
-            raise DomainError("the weight exponent needs 0 <= Re alpha_denom < 1")
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +216,6 @@ def frac_int_moments(
     if ar is None or ar.denominator != 1 or int(ar) not in (1, 2):
         raise DomainError("closed moments require alpha in {1, 2}")
     alpha = int(ar)
-    br = _rational_or_none(spec.b)
-    if br != 1 or _rational_or_none(spec.alpha_denom) != 0:
-        raise DomainError("closed moments cover b = 1 with no denominator weight")
     z = to_mpc(spec.s, precision_bits + GUARD_BITS)
     if alpha == 2 and not z.real > spec.beta + 1:
         raise DomainError(f"need Re s > beta + 1 = {spec.beta + 1}")
@@ -291,13 +296,7 @@ def frac_basic(s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
         return HPComplex.from_value(1 / (z - 1) - mp.zeta(z) / z, precision_bits)
 
 
-def frac_general(
-    s,
-    b,
-    alpha,
-    precision_bits: int = DEFAULT_PRECISION,
-    tolerance=None,
-) -> HPComplex:
+def frac_general(s, b, alpha, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """Weighted transform int_0^1 {1/t} t^(s-1) (1-t^b)^(-alpha) dt.
 
     Beta-function leading term minus (1/s) times a j-sum of Gauss series;
@@ -306,21 +305,14 @@ def frac_general(
     frac_basic.  The alpha -> 1 endpoint lives in alpha_one_limit.
     """
     workprec = precision_bits + GUARD_BITS
-    ar = _rational_or_none(alpha)
-    if ar == 0:
+    z, bb = _weight_args(s, b, workprec)
+    if _rational_or_none(alpha) == 0:
         return frac_basic(s, precision_bits)
     with mp.workprec(workprec):
-        z = to_mpc(s, workprec)
-        bb = to_mpc(b, workprec)
         aa = to_mpc(alpha, workprec)
-        if not z.real > 1:
-            raise DomainError("need Re s > 1")
-        if bb.imag != 0 or not bb.real > 0:
-            raise DomainError("b must be a positive real")
-        bb = bb.real
         if not (0 <= aa.real < 1):
             raise DomainError("need 0 <= Re alpha < 1; the limit has its own route")
-        tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
+        tol = _default_tolerance(precision_bits)
         leading = (
             mp.gamma(1 - aa)
             * mp.gamma((z + bb - 1) / bb)
@@ -356,14 +348,8 @@ def alpha_one_limit(s, b=1, precision_bits: int = DEFAULT_PRECISION) -> HPComple
     At s = 2, b = 1 this telescopes to the Euler constant.
     """
     workprec = precision_bits + GUARD_BITS
+    z, bb = _weight_args(s, b, workprec)
     with mp.workprec(workprec):
-        z = to_mpc(s, workprec)
-        bb = to_mpc(b, workprec)
-        if not z.real > 1:
-            raise DomainError("need Re s > 1")
-        if bb.imag != 0 or not bb.real > 0:
-            raise DomainError("b must be a positive real")
-        bb = bb.real
         ratio = z / bb
         total = mp.digamma(ratio) - mp.digamma((z - 1) / bb)
         tol = _default_tolerance(precision_bits)
@@ -410,28 +396,23 @@ def sublemma_sum(state: SublemmaState, precision_bits: int = DEFAULT_PRECISION) 
 
 
 def sublemma_sum_series(
-    state: SublemmaState,
-    precision_bits: int = DEFAULT_PRECISION,
-    tolerance=None,
-    head_terms: int = 64,
+    state: SublemmaState, precision_bits: int = DEFAULT_PRECISION
 ) -> HPComplex:
     """Summation of S_n(u): explicit head, then the k-tail folded exactly.
 
-    Past k = head_terms the factor 1/(u+k-1) is expanded in powers of
+    Past k = _HEAD_TERMS the factor 1/(u+k-1) is expanded in powers of
     1/(u+k), turning the remainder into Hurwitz zetas with geometric decay
     in the expansion order.  Independent of the telescoped closed form.
     """
     workprec = precision_bits + GUARD_BITS
     n = state.order
-    if head_terms < 4:
-        raise DomainError("need a head of at least 4 terms")
     with mp.workprec(workprec):
         uu = to_mpc(state.u, workprec)
-        tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
+        tol = _default_tolerance(precision_bits)
         total = mp.mpc(0)
-        for k in range(2, head_terms + 1):
+        for k in range(2, _HEAD_TERMS + 1):
             total += (uu + k) ** (-(n + 1)) / (uu + k - 1)
-        shift = uu + head_terms + 1
+        shift = uu + _HEAD_TERMS + 1
         for m in range(_SERIES_BUDGET):
             term = mp.zeta(n + 2 + m, shift)
             total += term
@@ -519,87 +500,71 @@ def _zeta_moment_integral(sigma, shift, workprec):
         return +value
 
 
-def pair_integral_quadrature(
-    s: int,
-    precision_bits: int = 96,
-    tolerance=None,
-    segments: int = 12,
-) -> OracleQuadrature:
+def _segments(integrand, first: int, total, bound, workprec, tol):
+    """Add tanh-sinh over [1/(k+1), 1/k], first <= k < _SEGMENTS, to total
+    and each segment's error estimate to bound.
+
+    integrand(k, y, dist_a, dist_b) is the integrand on segment k.
+    """
+    for k in range(first, _SEGMENTS):
+        piece = tanh_sinh(
+            partial(integrand, k), mp.mpf(1) / (k + 1), mp.mpf(1) / k, workprec,
+            tolerance=tol / (4 * _SEGMENTS), min_level=3,
+        )
+        total += mp.mpc(piece.value)
+        bound += abs(piece.error_estimate)
+    return total, bound
+
+
+def _folded_tail(terms: Iterable, total, bound, workprec, tol):
+    """Add c_m int_0^1 t zeta(sigma_m, K + t) dt, K = _SEGMENTS, over the
+    pairs (c_m, sigma_m) of terms, to total.
+
+    Stops at the first cap |c_m| (K^-sigma + K^(1-sigma)/(sigma-1)) / 2,
+    with sigma = Re sigma_m, below tol/16, and adds twice that cap to bound.
+    """
+    k = mp.mpf(_SEGMENTS)
+    for c, sigma in itertools.islice(terms, _SERIES_BUDGET):
+        total += c * _zeta_moment_integral(sigma, _SEGMENTS, workprec)
+        sig = sigma.real
+        cap = abs(c) * (k ** (-sig) + k ** (1 - sig) / (sig - 1)) / 2
+        if cap < tol / 16:
+            return total, bound + 2 * cap
+    raise ConvergenceError("tail expansion exhausted its budget")
+
+
+def pair_integral_quadrature(s: int, precision_bits: int = 96) -> OracleQuadrature:
     """Direct quadrature of the paired integral, split at unit fractions.
 
     Both halves of (0,1) reduce to sums over intervals [1/(k+1), 1/k] where
     the integrand is smooth; each is integrated by tanh-sinh for k below
-    `segments`.  Past that the sum is folded, via the substitution
+    _SEGMENTS.  Past that the sum is folded, via the substitution
     x = 1/(k+t), into integrals of Hurwitz zeta against t dt, which are
-    summed exactly (`_zeta_moment_integral`), with a geometric truncation
-    bound in the expansion order.  The error bound adds the segments'
-    tanh-sinh error estimates (extrapolated from the last two levels, see
-    `quadrature.tanh_sinh`) and the truncation bound.
+    summed exactly (`_zeta_moment_integral`).  The left weight y^s/(1-y)
+    has all-ones power coefficients and a geometric truncation bound; the
+    mirrored right weight y(1-y)^(s-2) is the same series at s = 1 and a
+    polynomial, summed in full, for s >= 2.  The error bound adds the
+    segments' tanh-sinh error estimates (extrapolated from the last two
+    levels, see `quadrature.tanh_sinh`) and the truncation bounds.
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
-    if segments < 3:
-        raise DomainError("need at least 3 unit-fraction segments")
     workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
-        tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
-        k_max = segments
-        total = mp.mpf(0)
-        bound = mp.mpf(0)
-
-        # f1: weight on the left half; f2: mirrored weight from the right half
-        def f1(y):
-            return y ** s / (1 - y)
-
-        def f2(y):
-            return y * (1 - y) ** (s - 2)
-
-        for weight in (f1, f2):
-            for k in range(2, k_max):
-                lo = mp.mpf(1) / (k + 1)
-                hi = mp.mpf(1) / k
-
-                def g(y, dist_a, dist_b, k=k):
-                    return (1 / y - k) * weight(y)
-
-                piece = tanh_sinh(
-                    g, lo, hi, workprec, tolerance=tol / (4 * k_max), min_level=3
-                )
-                total += mp.mpf(piece.value)
-                bound += abs(piece.error_estimate)
-
-        # tails: power coefficients of each weight about y = 0
-        for m in range(_SERIES_BUDGET):
-            sigma = s + m + 2
-            total += _zeta_moment_integral(sigma, k_max, workprec)
-            cap = (mp.mpf(k_max) ** (-sigma) + mp.mpf(k_max) ** (1 - sigma) / (sigma - 1)) / 2
-            if cap < tol / 16:
-                bound += cap * 2
-                break
-        else:
-            raise ConvergenceError("tail expansion exhausted its budget")
-        if s == 1:
-            coefficients = None  # same all-ones expansion as the first weight
-        else:
-            coefficients = [
-                (-1) ** m * math.comb(s - 2, m) for m in range(s - 1)
-            ]
-        m = 0
-        while True:
-            c = 1 if coefficients is None else (coefficients[m] if m < len(coefficients) else 0)
-            if c == 0 and coefficients is not None:
-                break
-            sigma = m + 3
-            total += c * _zeta_moment_integral(sigma, k_max, workprec)
-            cap = abs(mp.mpf(c)) * (
-                mp.mpf(k_max) ** (-sigma) + mp.mpf(k_max) ** (1 - sigma) / (sigma - 1)
-            ) / 2
-            if coefficients is None and cap < tol / 16:
-                bound += cap * 2
-                break
-            m += 1
-            if m > _SERIES_BUDGET:
-                raise ConvergenceError("tail expansion exhausted its budget")
+        tol = _default_tolerance(precision_bits)
+        # the left weight, then the right one mirrored onto (0, 1/2]
+        total, bound = _segments(
+            lambda k, y, dist_a, dist_b: (1 / y - k) * (y ** s / (1 - y)),
+            2, mp.mpc(0), mp.mpf(0), workprec, tol)
+        total, bound = _segments(
+            lambda k, y, dist_a, dist_b: (1 / y - k) * (y * (1 - y) ** (s - 2)),
+            2, total, bound, workprec, tol)
+        for _ in range(2 if s == 1 else 1):  # at s = 1 both weights are y/(1-y)
+            total, bound = _folded_tail(
+                ((1, s + m + 2) for m in itertools.count()), total, bound, workprec, tol)
+        for m in range(s - 1):
+            total += (-1) ** m * math.comb(s - 2, m) * _zeta_moment_integral(
+                m + 3, _SEGMENTS, workprec)
         return OracleQuadrature(
             value=HPComplex.from_value(total, precision_bits), error_bound=mp.mpf(bound)
         )
@@ -615,11 +580,9 @@ class PairIntegralReport:
     quadrature_error_bound: mp.mpf
 
 
-def pair_integral_report(
-    s: int, precision_bits: int = 96, tolerance=None
-) -> PairIntegralReport:
+def pair_integral_report(s: int, precision_bits: int = 96) -> PairIntegralReport:
     closed = frac_pair_integral(s, precision_bits)
-    quad = pair_integral_quadrature(s, precision_bits, tolerance=tolerance)
+    quad = pair_integral_quadrature(s, precision_bits)
     with mp.workprec(precision_bits + GUARD_BITS):
         diff = abs(closed.to_mpc() - quad.value.to_mpc())
     return PairIntegralReport(
@@ -837,9 +800,7 @@ def _inner_quadrature(aa, k: int, z, workprec, tol) -> Tuple[mp.mpc, mp.mpf]:
 
 
 def numeric_fracpart_oracle(
-    spec: FracIntegralSpec,
-    tolerance=None,
-    precision_bits: int = DEFAULT_PRECISION,
+    spec: FracIntegralSpec, precision_bits: int = DEFAULT_PRECISION
 ) -> FracOracleResult:
     """Brute-force moment value: k-sum of inner integrals plus analytic tail.
 
@@ -851,11 +812,6 @@ def numeric_fracpart_oracle(
     k^beta times each one's extrapolated tanh-sinh error estimate.  Real
     parameter sets also get the elementary sandwich bounds.
     """
-    if _rational_or_none(spec.b) != 1 or _rational_or_none(spec.alpha_denom) != 0:
-        raise DomainError(
-            "the k-sum oracle covers b = 1 without the denominator weight; "
-            "use frac_weight_quadrature for the weighted transform"
-        )
     workprec = precision_bits + 2 * GUARD_BITS
     beta = spec.beta
     with mp.workprec(workprec):
@@ -863,7 +819,7 @@ def numeric_fracpart_oracle(
         aa = to_mpc(spec.alpha, workprec)
         if not z.real > beta + max(0, aa.real - 1):
             raise DomainError("oracle needs Re s > beta + max(0, Re alpha - 1)")
-        tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
+        tol = _default_tolerance(precision_bits)
         ar = _rational_or_none(spec.alpha)
         exact_alpha = int(ar) if ar is not None and ar.denominator == 1 and ar in (1, 2) else None
         sr = _rational_or_none(spec.s)
@@ -925,74 +881,42 @@ def numeric_fracpart_oracle(
         )
 
 
-def frac_weight_quadrature(
-    s,
-    b,
-    alpha,
-    precision_bits: int = 96,
-    tolerance=None,
-    segments: int = 12,
-) -> OracleQuadrature:
+def frac_weight_quadrature(s, b, alpha, precision_bits: int = 96) -> OracleQuadrature:
     """Direct quadrature oracle for the weighted transform.
 
-    Tanh-sinh over the unit-fraction segments up to `segments`, then the
-    same fold as the paired-integral oracle: the k-tail becomes Hurwitz
-    zeta integrals via x = 1/(k+t), with the weight expanded binomially in
-    (k+t)^-b, and each of those is summed exactly
+    Tanh-sinh over the unit-fraction segments [1/(k+1), 1/k], k < _SEGMENTS,
+    then the same fold as the paired-integral oracle: the k-tail becomes
+    Hurwitz zeta integrals via x = 1/(k+t), with the weight expanded
+    binomially in (k+t)^-b, and each of those is summed exactly
     (`_zeta_moment_integral`).  Only the segments are quadrature; their
     extrapolated tanh-sinh error estimates and the tail cap make up the
     error bound.
     """
     workprec = precision_bits + GUARD_BITS
+    z, bb = _weight_args(s, b, workprec)
     with mp.workprec(workprec):
-        z = to_mpc(s, workprec)
-        bb = to_mpc(b, workprec)
         aa = to_mpc(alpha, workprec)
-        if not z.real > 1:
-            raise DomainError("need Re s > 1")
-        if bb.imag != 0 or not bb.real > 0:
-            raise DomainError("b must be a positive real")
-        bb = bb.real
         if not (0 <= aa.real < 1):
             raise DomainError("need 0 <= Re alpha < 1")
-        tol = mp.mpf(tolerance) if tolerance is not None else _default_tolerance(precision_bits)
-        total = mp.mpc(0)
-        bound = mp.mpf(0)
-        for k in range(1, segments):
-            lo = mp.mpf(1) / (k + 1)
-            hi = mp.mpf(1) / k
+        tol = _default_tolerance(precision_bits)
 
-            def g(t, dist_a, dist_b, k=k):
-                # 1 - t^b from the distance to the right endpoint of (1/2, 1)
-                if k == 1:
-                    w = -mp.expm1(bb * mp.log1p(-dist_b))
-                else:
-                    w = 1 - t ** bb
-                return (1 / t - k) * t ** (z - 1) * w ** (-aa)
+        def g(k, t, dist_a, dist_b):
+            # 1 - t^b from the distance to the right endpoint of (1/2, 1)
+            if k == 1:
+                w = -mp.expm1(bb * mp.log1p(-dist_b))
+            else:
+                w = 1 - t ** bb
+            return (1 / t - k) * t ** (z - 1) * w ** (-aa)
 
-            piece = tanh_sinh(
-                g, lo, hi, workprec, tolerance=tol / (4 * segments), min_level=3
-            )
-            total += mp.mpc(piece.value)
-            bound += abs(piece.error_estimate)
-        # tail: (1 - x^b)^-alpha with x = 1/(k+t) expanded in (k+t)^-b
-        coeff = mp.mpc(1)
-        m = 0
-        while True:
-            sigma = z + 1 + bb * m
-            total += coeff * _zeta_moment_integral(sigma, segments, workprec)
-            sig_re = sigma.real
-            cap = abs(coeff) * (
-                mp.mpf(segments) ** (-sig_re)
-                + mp.mpf(segments) ** (1 - sig_re) / (sig_re - 1)
-            ) / 2
-            if cap < tol / 16:
-                bound += 2 * cap
-                break
-            coeff *= (aa + m) / (m + 1)
-            m += 1
-            if m > _SERIES_BUDGET:
-                raise ConvergenceError("weight tail expansion exhausted its budget")
+        def tail():
+            # (1 - x^b)^-alpha with x = 1/(k+t) expanded in (k+t)^-b
+            coeff = mp.mpc(1)
+            for m in itertools.count():
+                yield coeff, z + 1 + bb * m
+                coeff *= (aa + m) / (m + 1)
+
+        total, bound = _segments(g, 1, mp.mpc(0), mp.mpf(0), workprec, tol)
+        total, bound = _folded_tail(tail(), total, bound, workprec, tol)
         return OracleQuadrature(
             value=HPComplex.from_value(total, precision_bits), error_bound=mp.mpf(bound)
         )

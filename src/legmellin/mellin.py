@@ -696,18 +696,12 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
 # ---------------------------------------------------------------------------
 # order-1 rational structure
 
-def order_one_reference(n: int, s, precision_bits: int = DEFAULT_PRECISION,
-                        duplication_form: bool = False) -> HPComplex:
-    """M_n^1(s) as the gamma-ratio-minus-one expression; the alternative
-    flag routes through sqrt(pi) 2^(1-s) Gamma(s) instead (the two agree by
-    Legendre duplication)."""
+def order_one_reference(n: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
+    """M_n^1(s) as the gamma-ratio-minus-one expression."""
     workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         z = _require_right_half_plane(s, workprec)
-        if duplication_form:
-            top = mp.sqrt(mp.pi) * mp.power(2, 1 - z) * mp.gamma(z)
-        else:
-            top = mp.gamma(z / 2) * mp.gamma((z + 1) / 2)
+        top = mp.gamma(z / 2) * mp.gamma((z + 1) / 2)
         value = top * mp.rgamma((z - n) / 2) * mp.rgamma((z + n + 1) / 2) - 1
     return HPComplex.from_value(value, precision_bits)
 

@@ -1,7 +1,7 @@
 """Exact rationals, arbitrary-precision complex values, and dense
 rational-coefficient polynomials in one variable.
 
-``BigRational`` is ``fractions.Fraction``: always stored reduced, which is
+Exact rationals are ``fractions.Fraction``: always stored reduced, which is
 exactly the invariant the recursions need to keep coefficient growth in
 check.  ``HPComplex`` carries its precision in bits as data, not ambient
 state; mixed-precision arithmetic resolves to the max of the operands.
@@ -18,8 +18,6 @@ from typing import Iterable, Optional, Sequence, Union
 import mpmath as mp
 
 from .errors import DomainError
-
-BigRational = Fraction
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
@@ -312,11 +310,6 @@ class RationalPolynomial:
     @classmethod
     def one(cls) -> "RationalPolynomial":
         return cls((1,))
-
-    @classmethod
-    def variable(cls) -> "RationalPolynomial":
-        """The polynomial s."""
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:

@@ -1,6 +1,7 @@
 """Command line surface: byte-level output contracts, exit codes, report
 schemas, and precision resolution."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import legmellin
 from legmellin import suites
@@ -125,6 +128,35 @@ def test_domain_error_exits_two(capsys):
     code, _, err = _run(capsys, ["mellin", "--n", "2", "--s", "-3"])
     assert code == 2
     assert "domain error" in err
+
+
+@pytest.mark.parametrize("b", ["0", "-1"])
+def test_fracpart_refuses_nonpositive_b_at_alpha_zero(capsys, b):
+    code, out, err = _run(capsys, ["fracpart", "--s", "2", "--b", b])
+    assert code == 2
+    assert out == ""
+    assert "b must be a positive real" in err
+
+
+def _fractions(numerators, denominators):
+    return st.builds(Fraction, numerators, denominators)
+
+
+# positive b stays >= 1/4: a small b makes the zeta series long
+@settings(max_examples=25, deadline=2000)
+@given(re_s=_fractions(st.integers(-8, 16), st.integers(1, 4)),
+       im_s=st.integers(-4, 4),
+       b=_fractions(st.integers(-4, 12), st.sampled_from([1, 2, 4])),
+       alpha=_fractions(st.integers(-4, 8), st.integers(1, 5)))
+def test_fracpart_ends_in_a_value_or_exit_two(re_s, im_s, b, alpha):
+    s = f"{re_s}{im_s:+d}i" if im_s else str(re_s)
+    argv = ["fracpart", "--s", s, "--b", str(b), "--alpha", str(alpha),
+            "--precision", "64"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(argv)
+    inside = re_s > 1 and b > 0 and 0 <= alpha < 1
+    assert code == (0 if inside else 2)
 
 
 def test_verify_pass_exits_zero(capsys):

@@ -1,11 +1,14 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+name it defines is referenced: a private one in `src/`, a public function,
+class or method in `src/`, `tests/` or `bench/`."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "legmellin"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "legmellin"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -78,3 +81,28 @@ def test_module_private_names_are_referenced(path):
     for module in SRC.glob("*.py"):
         referenced |= _references(ast.parse(module.read_text()))
     assert sorted(_private_definitions(ast.parse(path.read_text())) - referenced) == []
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and the public methods of
+    those classes as Class.method."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return {n for n in names if not n.rpartition(".")[2].startswith("_")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_public_names_are_referenced(path):
+    # the re-exports of __init__ are not uses
+    users = [*MODULES, *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]
+    referenced = set()
+    for module in users:
+        referenced |= _references(ast.parse(module.read_text()))
+    unused = {n for n in _public_definitions(ast.parse(path.read_text()))
+              if n.rpartition(".")[2] not in referenced}
+    assert sorted(unused) == []

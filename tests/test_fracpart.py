@@ -208,7 +208,8 @@ def test_exact_tail_integral_matches_quadrature(sigma, shift):
         assert abs(got - want) <= mp.mpf(2) ** -prec
 
 
-def test_oracle_tails_take_no_quadrature(monkeypatch):
+@pytest.mark.parametrize("segments", [6, 12])
+def test_oracle_tails_take_no_quadrature(monkeypatch, segments):
     calls = []
 
     def counting(*args, **kwargs):
@@ -216,11 +217,12 @@ def test_oracle_tails_take_no_quadrature(monkeypatch):
         return tanh_sinh(*args, **kwargs)
 
     monkeypatch.setattr(fracpart, "tanh_sinh", counting)
+    monkeypatch.setattr(fracpart, "_SEGMENTS", segments)
     pair_integral_quadrature(2, 64)
-    assert len(calls) == 2 * (fracpart._SEGMENTS - 2)
+    assert len(calls) == 2 * (segments - 2)
     calls.clear()
     frac_weight_quadrature(Fraction(3), 3, Fraction(1, 4), 64)
-    assert len(calls) == fracpart._SEGMENTS - 1
+    assert len(calls) == segments - 1
 
 
 def test_alpha_to_one_limit_is_euler_gamma():

@@ -337,9 +337,11 @@ def test_terminating_pfq_matches_mpmath(request):
     nums, dens, z = request
     prec = 128
     with mp.workprec(prec + 64):
+        # zeroprec lets mpmath return an exact zero, e.g. 2F1(-1, 1/2; 1/4; 1/2),
+        # where it would otherwise raise chasing relative accuracy
         want = mp.hyper([mp.mpf(a.numerator) / a.denominator for a in map(Fraction, nums)],
                         [mp.mpf(b.numerator) / b.denominator for b in map(Fraction, dens)],
-                        mp.mpf(z.numerator) / z.denominator)
+                        mp.mpf(z.numerator) / z.denominator, zeroprec=prec + 64)
         bound = mp.mpf(2) ** -(prec - 8) * max(1, abs(want))
     with mp.workprec(prec + GUARD_BITS):
         zf = mp.mpf(z.numerator) / z.denominator

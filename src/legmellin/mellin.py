@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Dict, Tuple
 
 import mpmath as mp
@@ -205,25 +205,23 @@ def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
 # ---------------------------------------------------------------------------
 # the transforms themselves
 
-def _degree_walk(n: int, m: int, seed):
-    """M_n^m(s) from the seeds seed(t) = M_m^m(s+t), m <= n, by the degree
-    recursion (k-m) M_k(s) = (2k-1) M_{k-1}(s+1) - (k+m-1) M_{k-2}(s).
+def _degree_walk(n: int, m: int, row: list) -> int:
+    """(n-m)! M_n^m(s), times the seeds' common scale, by the degree recursion
+    (k-m) M_k(s) = (2k-1) M_{k-1}(s+1) - (k+m-1) M_{k-2}(s) on integers.
 
-    Built one degree at a time, keeping only the shifts that reach M_n^m(s):
-    row_k[i] = M_k^m(s + n-k-2i) for i = 0..(n-k)//2, so that
+    row[i] is the integer seed M_m^m(s + n-m-2i) times the scale, for
+    i = 0..(n-m)//2.  Row k holds N_k[i] = (k-m)! M_k^m(s + n-k-2i) times the
+    scale; scaling by (k-m)! makes every step division-free and exact,
 
-        row_k[i] = ((2k-1) row_{k-1}[i] - (k+m-1) row_{k-2}[i+1]) / (k-m)
+        N_k[i] = (2k-1) N_{k-1}[i] - (k+m-1)(k-m-1) N_{k-2}[i+1],
 
-    from k = m + 1 on, with row_{m-1} = 0 because P_{m-1}^m vanishes; the
-    first step is thus row_{m+1} = (2m+1) row_m.  The scalar type is whatever
-    seed returns (Fraction or mpc); only int multiples, differences and
-    quotients occur.
+    from k = m + 1 on, with N_{m-1} = 0 because P_{m-1}^m vanishes.  So the
+    only roundings are those of the seeds and of the final division.
     """
     prev = [0] * ((n - m + 1) // 2 + 1)
-    row = [seed(n - m - 2 * i) for i in range((n - m) // 2 + 1)]
     for k in range(m + 1, n + 1):
-        prev, row = row, [((2 * k - 1) * row[i] - (k + m - 1) * prev[i + 1]) / (k - m)
-                          for i in range((n - k) // 2 + 1)]
+        a, c = 2 * k - 1, (k + m - 1) * (k - m - 1)
+        prev, row = row, [a * x - c * y for x, y in zip(row, prev[1:])]
     return row[0]
 
 
@@ -233,24 +231,46 @@ def _odd_order_exact(n: int, m: int, s: Fraction) -> Fraction:
     # Gamma(s/2)/Gamma((s+m+1)/2) = 1/(s/2)_((m+1)/2), integer count
     num = (-1) ** m * double_factorial(2 * m - 1) \
         * Fraction(double_factorial(m - 1), 2 ** ((m - 1) // 2))
-    return _degree_walk(
-        n, m, lambda shift: num / 2 / pochhammer_rational((s + shift) / 2, (m + 1) // 2))
+    seeds = [num / 2 / pochhammer_rational((s + n - m - 2 * i) / 2, (m + 1) // 2)
+             for i in range((n - m) // 2 + 1)]
+    scale = lcm(*(q.denominator for q in seeds))
+    walked = _degree_walk(n, m, [q.numerator * (scale // q.denominator) for q in seeds])
+    return Fraction(walked, scale * factorial(n - m))
+
+
+# fixed-point bits below the smallest seed's last working-precision bit
+_WALK_GUARD = 16
+
+
+def _float_walk(n: int, m: int, a: mp.mpc, first: mp.mpc) -> mp.mpc:
+    """M_n^m(s) at the ambient precision from first = M_m^m(s') at a = s'/2,
+    s' = s + (n-m) mod 2.  Every seed is a constant times
+    Gamma(a)/Gamma(a + (m+1)/2), so the others follow from the exact ratio
+    seed(a+1) = seed(a) a/(a + (m+1)/2).  Their real and imaginary parts are
+    walked separately as integers at 2^S, the headroom S putting _WALK_GUARD
+    bits beyond the working precision below the smallest seed: the integers
+    carry the working precision plus the seeds' binade range plus the guard.
+    """
+    h = mp.mpf(m + 1) / 2
+    seeds = [first]
+    for _ in range((n - m) // 2):
+        seeds.append(seeds[-1] * a / (a + h))
+        a += 1
+    seeds.reverse()
+    shift = mp.mp.prec + _WALK_GUARD - min(mp.mag(x) for x in seeds)
+    re, im = (_degree_walk(n, m, [int(mp.ldexp(part(x), shift)) for x in seeds])
+              for part in (mp.re, mp.im))
+    return mp.mpc(re, im) / mp.ldexp(factorial(n - m), shift)
 
 
 def _odd_order_float(n: int, m: int, s: mp.mpc) -> mp.mpc:
     """M_n^m(s) for odd m at the ambient working precision."""
-    half = (m + 1) // 2
-    lead = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1) \
-        / mp.power(2, half)
-
-    def seed(shift: int) -> mp.mpc:
-        sv = s + shift
-        acc = mp.mpc(1)
-        for j in range(half):
-            acc *= sv / 2 + j
-        return lead / acc
-
-    return _degree_walk(n, m, seed)
+    a = (s + (n - m) % 2) / 2
+    first = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1) \
+        / mp.power(2, (m + 1) // 2)
+    for j in range((m + 1) // 2):
+        first /= a + j
+    return _float_walk(n, m, a, first)
 
 
 def mellin_recursion_reference(n: int, m: int, s,
@@ -258,9 +278,12 @@ def mellin_recursion_reference(n: int, m: int, s,
     """M_n^m(s) built purely from the degree recursion on transform values.
 
     Even m is seeded by the Beta-integral value of M_m^m,
-    (2m-1)!! (m-1)!! sqrt(pi) 2^-(m/2+1) Gamma(s/2) / Gamma((s+m+1)/2);
-    odd m reuses the odd-order walk.  The polynomial factor never enters,
-    so the result is an independent check on poly_factor.
+    (2m-1)!! (m-1)!! sqrt(pi) 2^-(m/2+1) Gamma(s/2) / Gamma((s+m+1)/2),
+    from one gamma/rgamma pair and the exact seed ratio; odd m reuses the
+    odd-order walk.  Both walk on integers, scaled by 2^S with the headroom
+    S of _float_walk and by (k-m)! at degree k as in _degree_walk.  The
+    polynomial factor never enters, so this is an independent check on
+    poly_factor.
 
     The value recursion loses up to about 1.25 bits per degree, and only
     the usual guard bits are added here: a caller that needs the result
@@ -275,14 +298,11 @@ def mellin_recursion_reference(n: int, m: int, s,
     with mp.workprec(workprec):
         if m % 2 == 1:
             return HPComplex.from_value(_odd_order_float(n, m, z), precision_bits)
-        lead = double_factorial(2 * m - 1) * double_factorial(m - 1) \
-            * mp.sqrt(mp.pi) / mp.power(2, m // 2 + 1)
-
-        def seed(shift: int) -> mp.mpc:
-            sv = z + shift
-            return lead * mp.gamma(sv / 2) * mp.rgamma((sv + m + 1) / 2)
-
-        return HPComplex.from_value(_degree_walk(n, m, seed), precision_bits)
+        a = (z + (n - m) % 2) / 2
+        first = double_factorial(2 * m - 1) * double_factorial(m - 1) \
+            * mp.sqrt(mp.pi) / mp.power(2, m // 2 + 1) \
+            * mp.gamma(a) * mp.rgamma(a + mp.mpf(m + 1) / 2)
+        return HPComplex.from_value(_float_walk(n, m, a, first), precision_bits)
 
 
 def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:

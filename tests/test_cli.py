@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import legmellin
 from legmellin import suites
 from legmellin.cli import PRECISION_ENV_VAR, run_command
-from legmellin.mellin import order_one_exact
+from legmellin.mellin import order_one_exact, order_one_reference
 
 
 def _run(capsys, argv):
@@ -85,6 +85,22 @@ def test_mellin_high_degree_odd_order(capsys):
         assert abs(got - want) / abs(want) < mp.mpf(2) ** -108
 
 
+def test_mellin_high_degree_odd_order_complex_argument(capsys):
+    # n^2/4 walk steps at 1.5 n extra bits: a wall-clock cliff when each
+    # step was a multiprecision complex operation
+    code, out, err = _run(capsys, ["mellin", "--n", "2001", "--m", "1", "--s", "2+3i"])
+    assert code == 0, err
+    payload = json.loads(out)
+    prec = payload["precision_bits"]
+    with mp.workprec(prec + 64):
+        body = payload["value"].removesuffix("i")
+        cut = max(i for i, c in enumerate(body)
+                  if c in "+-" and i > 0 and body[i - 1] not in "eE")
+        got = mp.mpc(body[:cut], body[cut:])
+        want = order_one_reference(2001, mp.mpc(2, 3), prec + 64).to_mpc()
+        assert abs(got - want) / abs(want) < mp.mpf(2) ** -(prec - 20)
+
+
 def test_zeros_payload(capsys):
     code, out, _ = _run(capsys, ["zeros", "--n", "4", "--precision", "128"])
     assert code == 0
@@ -142,6 +158,30 @@ def _fractions(numerators, denominators):
     return st.builds(Fraction, numerators, denominators)
 
 
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=2000)
+@given(n=st.integers(-2, 60), m=st.integers(-1, 12),
+       re_s=_fractions(st.integers(-4, 12), st.integers(1, 4)),
+       im_s=_fractions(st.integers(-6, 6), st.integers(1, 2)),
+       prec=st.integers(64, 256))
+def test_mellin_ends_in_a_value_or_exit_two(n, m, re_s, im_s, prec):
+    s = f"{re_s}{'+' if im_s >= 0 else ''}{im_s}i" if im_s else str(re_s)
+    code, out, err = _run_quietly(["mellin", "--n", str(n), "--m", str(m),
+                                   f"--s={s}", "--precision", str(prec)])
+    if n >= 0 and m >= 0 and re_s > 0:
+        assert code == 0, err
+        assert json.loads(out)["value"]
+    else:
+        assert code == 2
+        assert err.startswith("legmellin: domain error")
+
+
 # positive b stays >= 1/4: a small b makes the zeta series long
 @settings(max_examples=25, deadline=2000)
 @given(re_s=_fractions(st.integers(-8, 16), st.integers(1, 4)),
@@ -152,9 +192,7 @@ def test_fracpart_ends_in_a_value_or_exit_two(re_s, im_s, b, alpha):
     s = f"{re_s}{im_s:+d}i" if im_s else str(re_s)
     argv = ["fracpart", "--s", s, "--b", str(b), "--alpha", str(alpha),
             "--precision", "64"]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = run_command(argv)
+    code, _, _ = _run_quietly(argv)
     inside = re_s > 1 and b > 0 and 0 <= alpha < 1
     assert code == (0 if inside else 2)
 

@@ -5,6 +5,7 @@ import contextlib
 import signal
 import sys
 from fractions import Fraction
+from math import factorial
 
 import mpmath as mp
 import pytest
@@ -13,6 +14,7 @@ from legmellin import mellin
 from legmellin.errors import DomainError
 from legmellin.mpcore import (
     GUARD_BITS,
+    GaussianRational,
     HPComplex,
     RationalPolynomial,
     exact_or_none,
@@ -137,6 +139,42 @@ def test_odd_order_closed_matches_exact():
             assert abs(got.to_mpc() - want) < mp.mpf(2) ** -170
 
 
+def _plain_odd_order_walk(top: int, m: int, s: Fraction) -> list:
+    """[M_n^m(s) for n = 0..top] by the three-term degree recursion on
+    Fractions, every shift kept, one division per step."""
+    half = (m + 1) // 2
+    lead = (-1) ** m * factorial(2 * m) // (2 ** m * factorial(m)) \
+        * Fraction(factorial(half - 1), 2)
+
+    def seed(t):
+        # M_m^m(s+t) = lead * Gamma(a) / Gamma(a + half), a = (s+t)/2
+        rising = Fraction(1)
+        for j in range(half):
+            rising *= (s + t) / 2 + j
+        return lead / rising
+
+    values = [Fraction(0)] * m
+    prev, row = [Fraction(0)] * (top - m + 2), [seed(t) for t in range(top - m + 1)]
+    values.append(row[0])
+    for k in range(m + 1, top + 1):
+        prev, row = row, [((2 * k - 1) * row[t + 1] - (k + m - 1) * prev[t]) / (k - m)
+                          for t in range(top - k + 1)]
+        values.append(row[0])
+    return values
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+@pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(5, 2), Fraction(7)])
+def test_odd_order_exact_equals_plain_fraction_walk(m, s):
+    want = _plain_odd_order_walk(40, m, s)
+    assert [mellin_odd_order_exact(n, m, s) for n in range(41)] == want
+
+
+def test_odd_order_exact_at_high_degree_equals_order_one_form():
+    s = Fraction(5, 2)
+    assert mellin_odd_order_exact(1001, 1, s) == order_one_exact(1001, s)
+
+
 def test_special_value_formula_even_n():
     assert special_value_at_1_rational(0) == Fraction(1, 2)
     assert special_value_at_1_rational(2) == Fraction(1, 8)
@@ -200,6 +238,25 @@ def test_value_recursion_needs_no_stack_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert _rel_error(got, special_value_at_1(300, 256)) < mp.mpf(2) ** -108
+
+
+@pytest.mark.parametrize("n,m,s", [
+    # seeds spread over tens of binades: small Re s, large Im s, high order
+    (200, 10, GaussianRational(Fraction(1, 16), 5)),
+    (200, 11, GaussianRational(Fraction(1, 16), 5)),
+    (200, 0, Fraction(1, 16)),
+    # no step, and a single step
+    (12, 12, GaussianRational(2, 3)),
+    (9, 9, Fraction(1, 3)),
+    (13, 12, GaussianRational(Fraction(1, 16), 5)),
+    (10, 9, Fraction(5, 2)),
+])
+def test_fixed_point_walk_holds_its_precision(n, m, s):
+    b = 128
+    bits = b + 64 + (3 * n) // 2
+    got = mellin_recursion_reference(n, m, s, bits)
+    want = mellin_recursion_reference(n, m, s, 2 * bits)
+    assert _rel_error(got, want) < mp.mpf(2) ** -(b - 8)
 
 
 def test_poly_int_resumes_from_cached_degrees(monkeypatch):

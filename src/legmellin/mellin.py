@@ -20,6 +20,7 @@ import mpmath as mp
 from .errors import DomainError
 from .mpcore import (
     DEFAULT_PRECISION,
+    FIXED_GUARD_BITS,
     GUARD_BITS,
     HPComplex,
     RationalPolynomial,
@@ -238,18 +239,15 @@ def _odd_order_exact(n: int, m: int, s: Fraction) -> Fraction:
     return Fraction(walked, scale * factorial(n - m))
 
 
-# fixed-point bits below the smallest seed's last working-precision bit
-_WALK_GUARD = 16
-
-
 def _float_walk(n: int, m: int, a: mp.mpc, first: mp.mpc) -> mp.mpc:
     """M_n^m(s) at the ambient precision from first = M_m^m(s') at a = s'/2,
     s' = s + (n-m) mod 2.  Every seed is a constant times
     Gamma(a)/Gamma(a + (m+1)/2), so the others follow from the exact ratio
     seed(a+1) = seed(a) a/(a + (m+1)/2).  Their real and imaginary parts are
-    walked separately as integers at 2^S, the headroom S putting _WALK_GUARD
-    bits beyond the working precision below the smallest seed: the integers
-    carry the working precision plus the seeds' binade range plus the guard.
+    walked separately as integers at 2^S, the headroom S putting
+    FIXED_GUARD_BITS bits beyond the working precision below the smallest
+    seed: the integers carry the working precision plus the seeds' binade
+    range plus the guard.
     """
     h = mp.mpf(m + 1) / 2
     seeds = [first]
@@ -257,7 +255,7 @@ def _float_walk(n: int, m: int, a: mp.mpc, first: mp.mpc) -> mp.mpc:
         seeds.append(seeds[-1] * a / (a + h))
         a += 1
     seeds.reverse()
-    shift = mp.mp.prec + _WALK_GUARD - min(mp.mag(x) for x in seeds)
+    shift = mp.mp.prec + FIXED_GUARD_BITS - min(mp.mag(x) for x in seeds)
     re, im = (_degree_walk(n, m, [int(mp.ldexp(part(x), shift)) for x in seeds])
               for part in (mp.re, mp.im))
     return mp.mpc(re, im) / mp.ldexp(factorial(n - m), shift)
@@ -465,6 +463,12 @@ def mellin_rep(
     reciprocal gammas vanish for k < n/2.  The catalogued 3F2 form put
     1/k! where 1/Gamma(1 - n/2 + k) belongs, which agrees only at n = 0.
     Re-indexing k = n/2 + j turns the sum into L2c's series.
+
+    P1 integrates its terminating 2F1, a polynomial of degree n//2 in
+    x = cos^2(phi) whose coefficients are built once per call, by Horner
+    on fixed-point integers (_fixed_point_poly).  P3 sums two 2F1(-1)
+    series and reaches the other n - 1 by a downward contiguous
+    recurrence (_p3_sum).
     """
     if n < 0 or m < 0:
         raise DomainError("mellin_rep requires n >= 0 and m >= 0")
@@ -572,27 +576,19 @@ def mellin_rep(
             pref = (mp.rgamma(mp.mpf(1) / 2) * mp.gamma((n + z) / 2)
                     * mp.rgamma((n + z + 1) / 2))
             # the 2F1 terminates for every n, so argument 1 is harmless
-            series = terminating_series((_frac(1 - n, 2), _frac(-n, 2)),
-                                        (1 - (sq + n) / 2,), precision_bits)
+            poly = _fixed_point_poly(terminating_series(
+                (_frac(1 - n, 2), _frac(-n, 2)), (1 - (sq + n) / 2,),
+                precision_bits).coefficients())
 
             def integrand(phi, dist_a, dist_b):
-                return series(mp.cos(phi) ** 2).to_mpc()
+                return poly(mp.cos(phi) ** 2)
 
             quad = tanh_sinh(integrand, 0, mp.pi / 2, precision_bits,
                              tolerance=mp.mpf(2) ** (-(precision_bits // 2 + 8)))
             value = pref * quad.value
         elif variant is RepVariant.P3:
             _require_order_zero(variant, m)
-            total = mp.mpc(0)
-            for k in range(n + 1):
-                coeff = mp.mpf((-1) ** k) / (
-                    mp.factorial(k) ** 2 * mp.factorial(n - k) ** 2)
-                g = mp.gamma(k + mp.mpf(1) / 2) * mp.rgamma(k + z + mp.mpf(1) / 2)
-                f = hyp_pfq(HypergeometricSpec(
-                    (_frac(1, 2) + k - n, sq),
-                    (_frac(1, 2) + k + sq,), -1), precision_bits + 8)
-                total += coeff * g * f.to_mpc()
-            value = (mp.factorial(n) ** 2 / mp.power(2, n)) * mp.gamma(z) * total
+            value = _p3_sum(n, sq, precision_bits)
         elif variant is RepVariant.L8:
             if m > n:
                 raise DomainError("L8 requires m <= n")
@@ -628,6 +624,73 @@ def mellin_rep(
         else:  # pragma: no cover - enum is closed
             raise DomainError(f"unknown variant {variant}")
     return HPComplex.from_value(value, precision_bits)
+
+
+def _p3_sum(n: int, sq, precision_bits: int) -> mp.mpc:
+    """P3: M_n(s) = 2^-n Gamma(s) sum_k (-1)^k C(n,k)^2
+    Gamma(k+1/2) / Gamma(k+s+1/2) F_k, with F_k = 2F1(1/2+k-n, s; 1/2+k+s; -1).
+
+    Only F_n and F_(n-1) are summed, by hyp_pfq (Pfaff to argument 1/2).
+    With a = 1/2+k-n and c = 1/2+k+s, Gauss's contiguous relations
+    (DLMF 15.5.14, 15.5.15) at z = -1 give
+
+        c (c-1) F_(k-1) = a (k+1/2) F_(k+1) + c (2s+n-1) F_k,
+
+    run downward to F_0.  F_k tends to a constant as k grows, and the
+    downward direction is the stable one (Gautschi, SIAM Review 9, 1967):
+    at 100 bits, for n from 20 to 80, it kept every F_k within 2^-89
+    relative, where the upward direction lost all of them.  The gamma
+    ratios follow from one pair by the exact step (k+1/2)/(k+s+1/2).  The
+    alternating sum cancels by up to about n bits, so all of it runs n bits
+    higher.
+    """
+    bits = precision_bits + n
+    with mp.workprec(bits + GUARD_BITS):
+        z = to_mpc(sq, bits + GUARD_BITS)
+        half = mp.mpf(1) / 2
+        f = [None] * (n + 1)
+        for k in range(max(n - 1, 0), n + 1):
+            f[k] = hyp_pfq(HypergeometricSpec((_frac(1, 2) + k - n, sq),
+                                              (_frac(1, 2) + k + sq,), -1),
+                           bits + 8).to_mpc()
+        for k in range(n - 1, 0, -1):
+            c = k + half + z
+            f[k - 1] = ((k + half - n) * (k + half) * f[k + 1]
+                        + c * (2 * z + n - 1) * f[k]) / (c * (c - 1))
+        total = mp.mpc(0)
+        ratio = mp.sqrt(mp.pi) * mp.rgamma(z + half)
+        for k in range(n + 1):
+            total += (-1) ** k * comb(n, k) ** 2 * ratio * f[k]
+            ratio *= (k + half) / (k + half + z)
+        return mp.gamma(z) * total / mp.power(2, n)
+
+
+def _fixed_point_poly(coeffs: list):
+    """x -> sum_k coeffs[k] x^k for real |x| <= 1, at the ambient precision.
+
+    Horner runs on integers at 2^S, the real and imaginary parts walked
+    separately, and each part is divided once at the end.  With N the
+    degree, the truncations of the N Horner steps, of the N + 1
+    coefficients and of x cost at most 2N + 1 + sum_k k |c_k| units of 2^-S,
+    so S puts FIXED_GUARD_BITS bits beyond the working precision below
+    sum_k (k+1) |c_k|, or below 1 when that sum is smaller.
+    """
+    shift = mp.mp.prec + FIXED_GUARD_BITS + max(
+        0, mp.mag(mp.fsum((k + 1) * abs(c) for k, c in enumerate(coeffs))))
+    parts = [[int(mp.ldexp(part(c), shift)) for c in reversed(coeffs)]
+             for part in (mp.re, mp.im)]
+
+    def evaluate(x) -> mp.mpc:
+        big_x = int(mp.ldexp(x, shift))
+        values = []
+        for fixed in parts:
+            acc = 0
+            for c in fixed:
+                acc = (acc * big_x >> shift) + c
+            values.append(mp.ldexp(acc, -shift))
+        return mp.mpc(*values)
+
+    return evaluate
 
 
 def _half_pochhammer_ratio(sq, N: int, odd: bool, workprec: int) -> mp.mpc:

@@ -23,6 +23,9 @@ DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 # extra working bits behind every result rounded to a requested precision
 GUARD_BITS = 24
+# fixed-point bits beyond the working precision in the integer recurrences
+# and Horner loops of mellin and specfun
+FIXED_GUARD_BITS = 16
 
 RationalLike = Union[int, Fraction]
 

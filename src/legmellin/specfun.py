@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import factorial
 from typing import Optional, Sequence
 
 import mpmath as mp
@@ -21,6 +22,7 @@ import mpmath as mp
 from .errors import DivergenceError, DomainError, PoleError
 from .mpcore import (
     DEFAULT_PRECISION,
+    FIXED_GUARD_BITS,
     GUARD_BITS,
     GaussianRational,
     HPComplex,
@@ -109,32 +111,48 @@ def polygamma(order: int, z, precision_bits: int = DEFAULT_PRECISION) -> HPCompl
 # Ferrers (associated Legendre on (-1, 1)), with Condon-Shortley phase
 
 def ferrers(n: int, m: int, x) -> mp.mpf:
-    """P_n^m(x) for -1 <= x <= 1 by upward three-term recurrence in degree.
+    """P_n^m(x) for real -1 <= x <= 1, at the ambient working precision.
 
-    m = 0 is the ordinary Legendre polynomial.  Stable at the working
-    precision; mpmath's legenp is not reliable on this interval.
+    m = 0 is the ordinary Legendre polynomial; mpmath's legenp is not
+    reliable on this interval.  x is read once by mpcore.to_mpc; a string
+    that is no number, inf, nan, a nonzero imaginary part or |x| > 1 raises
+    DomainError.
+
+    The upward recurrence (l-m) P_l = (2l-1) x P_(l-1) - (l+m-1) P_(l-2)
+    runs on integers at 2^S from P_m^m = (-1)^m (2m-1)!! (1-x^2)^(m/2).
+    Row l is scaled by (l-m)!, so each step is division-free,
+
+        Q_l = (((2l-1) X Q_(l-1)) >> S) - (l+m-1)(l-m-1) Q_(l-2),  X = x 2^S,
+
+    and one integer division by (n-m)! at the end gives P_n^m.  P_m^m is
+    computed with FIXED_GUARD_BITS extra bits.  The headroom S is the
+    working precision plus FIXED_GUARD_BITS, plus -mag(P_m^m) when P_m^m
+    is small, so order m > 0 near x = +-1 keeps the precision relative to
+    its own scale.  The error stays within a few units of 2^-prec times
+    max_(m<=k<=n) |P_k^m(x)|.
     """
     if m < 0 or n < 0:
         raise DomainError("ferrers requires n >= 0 and m >= 0")
+    z = to_mpc(x, mp.mp.prec)
+    if z.imag or abs(z.real) > 1:
+        raise DomainError(f"ferrers requires real -1 <= x <= 1, got {x!r}")
     if m > n:
         return mp.mpf(0)
-    x = mp.mpf(x) if not isinstance(x, (mp.mpf, mp.mpc)) else x
+    x, shift = z.real, mp.mp.prec + FIXED_GUARD_BITS
     pmm = mp.mpf(1)
-    if m > 0:
-        somx2 = mp.sqrt((1 - x) * (1 + x))
-        fact = mp.mpf(1)
-        for _ in range(m):
-            pmm *= -fact * somx2
-            fact += 2
-    if n == m:
-        return pmm
-    pmmp1 = x * (2 * m + 1) * pmm
-    if n == m + 1:
-        return pmmp1
-    for ll in range(m + 2, n + 1):
-        pll = (x * (2 * ll - 1) * pmmp1 - (ll + m - 1) * pmm) / (ll - m)
-        pmm, pmmp1 = pmmp1, pll
-    return pmmp1
+    if m:
+        with mp.workprec(shift):
+            pmm = (-1) ** m * double_factorial(2 * m - 1) \
+                * mp.sqrt((1 - x) * (1 + x)) ** m
+    if n == m or not pmm:
+        return +pmm
+    shift += max(0, -mp.mag(pmm))
+    big_x = int(mp.ldexp(x, shift))
+    prev, row = 0, int(mp.ldexp(pmm, shift))
+    for ll in range(m + 1, n + 1):
+        prev, row = row, ((2 * ll - 1) * big_x * row >> shift) \
+            - (ll + m - 1) * (ll - m - 1) * prev
+    return mp.ldexp(row // factorial(n - m), -shift)
 
 
 def double_factorial(k: int) -> int:
@@ -226,6 +244,21 @@ def _cancel_pairs(nums, dens) -> tuple:
     return nums, dens
 
 
+def _exact_coefficients(nums, dens, n_term: int) -> list:
+    """c_0..c_(n_term) with pFq(z) = sum c_k z^k, c_k = prod (a)_k / prod (b)_k / k!,
+    for exact GaussianRational parameters."""
+    c = GaussianRational(1)
+    out = [c]
+    for k in range(n_term):
+        for a in nums:
+            c = c * (a + k)
+        for b in dens:
+            c = c / (b + k)
+        c = c / (k + 1)
+        out.append(c)
+    return out
+
+
 def hyp_terminating_exact(spec: HypergeometricSpec) -> GaussianRational:
     """Exact Gaussian-rational sum of a terminating series with exact inputs."""
     nums, dens, z = spec.exact
@@ -235,16 +268,9 @@ def hyp_terminating_exact(spec: HypergeometricSpec) -> GaussianRational:
     if n_term is None:
         raise DomainError("exact path requires a terminating series")
     _check_denominator_poles(zip(spec.denominator_params, dens), n_term)
-    total = GaussianRational(1)
-    term = GaussianRational(1)
-    for k in range(n_term):
-        factor = GaussianRational(1)
-        for a in nums:
-            factor = factor * (a + k)
-        for b in dens:
-            factor = factor / (b + k)
-        term = term * factor * z / (k + 1)
-        total = total + term
+    total = GaussianRational(0)
+    for c in reversed(_exact_coefficients(nums, dens, n_term)):
+        total = total * z + c
     return total
 
 
@@ -288,8 +314,16 @@ class _TerminatingSeries:
         self.nums, self.dens = nums, dens
         self.exact = all(g is not None for _, g in nums + dens)
         self.precision_bits = precision_bits
-        self.ratios = None
         self.exact_values = {}
+
+    @cached_property
+    def ratios(self) -> list:
+        """The term ratios at the working precision, built on first use."""
+        workprec = self.precision_bits + GUARD_BITS
+        with mp.workprec(workprec):
+            return _term_ratios([to_mpc(a, workprec) for a, _ in self.nums],
+                                [to_mpc(b, workprec) for b, _ in self.dens],
+                                self.n_term)
 
     def __call__(self, z) -> HPComplex:
         return self.at(z, exact_or_none(z) if self.exact else None)
@@ -306,12 +340,22 @@ class _TerminatingSeries:
             return value
         workprec = self.precision_bits + GUARD_BITS
         with mp.workprec(workprec):
-            if self.ratios is None:
-                self.ratios = _term_ratios([to_mpc(a, workprec) for a, _ in self.nums],
-                                           [to_mpc(b, workprec) for b, _ in self.dens],
-                                           self.n_term)
             total = _sum_ratios(self.ratios, to_mpc(z, workprec))
         return HPComplex.from_value(total, self.precision_bits)
+
+    def coefficients(self) -> list:
+        """c_0..c_N with value(z) = sum c_k z^k, as mpcs at the working
+        precision: exact and rounded once when the parameters are exact,
+        else running products of the term ratios."""
+        workprec = self.precision_bits + GUARD_BITS
+        if self.exact:
+            return [c.to_mpc(workprec) for c in _exact_coefficients(
+                [g for _, g in self.nums], [g for _, g in self.dens], self.n_term)]
+        with mp.workprec(workprec):
+            out = [mp.mpc(1)]
+            for k, ratio in enumerate(self.ratios):
+                out.append(out[-1] * ratio / (k + 1))
+        return out
 
 
 def terminating_series(nums: Sequence, dens: Sequence,

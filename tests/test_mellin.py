@@ -9,6 +9,8 @@ from math import factorial
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legmellin import mellin
 from legmellin.errors import DomainError
@@ -21,7 +23,7 @@ from legmellin.mpcore import (
     to_mpc,
 )
 from legmellin.quadrature import tanh_sinh
-from legmellin.specfun import HypergeometricSpec, hyp_pfq
+from legmellin.specfun import HypergeometricSpec, hyp_pfq, terminating_series
 from legmellin.mellin import (
     RepVariant,
     genfun,
@@ -361,6 +363,51 @@ def test_p1_equals_per_node_hypergeometric_bitwise(n):
         got = mellin_rep(RepVariant.P1, n, 0, s, 128)
         want = _p1_per_node(n, s, 128)
         assert got.real == want.real and got.imag == want.imag, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 24), prec=st.sampled_from([64, 110, 160, 256]),
+       s=st.sampled_from([Fraction(3, 4), Fraction(5, 2), Fraction(1, 100), 2,
+                          HPComplex(2, 3, 128), HPComplex("0.3", "0.7", 128)]),
+       nodes=st.lists(st.floats(0, 1), min_size=1, max_size=4))
+def test_p1_horner_equals_terminating_series(n, prec, s, nodes):
+    # P1's integrand polynomial on fixed-point integers, against the
+    # terminating series it replaces, at x = cos^2 of random angles
+    workprec = prec + GUARD_BITS
+    sq = exact_or_none(s) or to_mpc(s, workprec)
+    series = terminating_series((Fraction(1 - n, 2), Fraction(-n, 2)),
+                                (1 - (sq + n) / 2,), prec)
+    with mp.workprec(workprec):
+        poly = mellin._fixed_point_poly(series.coefficients())
+        for t in nodes:
+            x = mp.cos(mp.mpf(t) * mp.pi / 2) ** 2
+            got, want = poly(x), series(x).to_mpc()
+            assert abs(got - want) <= mp.mpf(2) ** (-(prec - 8)) * (1 + abs(want)), x
+
+
+@pytest.mark.parametrize("n", [60, 80])
+@pytest.mark.parametrize("s", [Fraction(1, 100), Fraction(7, 3),
+                               GaussianRational(Fraction(1, 50), -7)],
+                         ids=["1/100", "7/3", "1/50-7i"])
+def test_p3_holds_its_precision_at_high_degree(n, s):
+    got = mellin_rep(RepVariant.P3, n, 0, s, 160).to_mpc()
+    want = mellin_closed(n, 0, s, 320).to_mpc()
+    with mp.workprec(320):
+        assert abs(got - want) <= mp.mpf(10) ** -30 * abs(want)
+
+
+def test_p3_sums_only_its_two_top_series(monkeypatch):
+    # the other n - 1 values come from the contiguous recurrence
+    calls = []
+
+    def counted(spec, precision_bits):
+        calls.append(spec)
+        return hyp_pfq(spec, precision_bits)
+
+    monkeypatch.setattr(mellin, "hyp_pfq", counted)
+    got = mellin_rep(RepVariant.P3, 12, 0, Fraction(3, 4), 160)
+    assert len(calls) <= 2
+    assert _close(got, mellin_closed(12, 0, Fraction(3, 4), 160), 160)
 
 
 @contextlib.contextmanager

@@ -168,6 +168,54 @@ def test_ferrers_rejects_negative_orders():
         ferrers(2, -1, 0)
 
 
+@pytest.mark.parametrize("n, m, x", [
+    (3, 0, "abc"),
+    (2, 0, float("nan")),
+    (2, 1, 1.5),
+    (2, 1, mp.mpf(-1) - mp.mpf(2) ** -40),
+    (2, 0, complex(0.5, 0.5)),
+    (2, 0, mp.mpc(0.5, 1)),
+], ids=["string", "nan", "above-one", "below-minus-one", "complex", "mpc"])
+def test_ferrers_rejects_x_off_the_interval(n, m, x):
+    with pytest.raises(DomainError):
+        ferrers(n, m, x)
+
+
+def _ferrers_mpf_rows(n, m, x):
+    """P_m^m(x) .. P_n^m(x) by the plain mpf recurrence at the ambient
+    precision, one division per step."""
+    pmm = mp.mpf(1)
+    somx2 = mp.sqrt((1 - x) * (1 + x))
+    for j in range(m):
+        pmm *= -(2 * j + 1) * somx2
+    rows = [pmm, x * (2 * m + 1) * pmm]
+    for ll in range(m + 2, n + 1):
+        rows.append((x * (2 * ll - 1) * rows[-1] - (ll + m - 1) * rows[-2]) / (ll - m))
+    return rows[:n - m + 1]
+
+
+_FERRERS_POINTS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2^-400", "-2^-400", "1-2^-200"]),
+    st.floats(-1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 80), m=st.integers(0, 20), point=_FERRERS_POINTS,
+       prec=st.sampled_from([53, 64, 113, 160, 184, 256]))
+def test_fixed_point_ferrers_matches_mpf_recurrence(n, m, point, prec):
+    m = min(m, n)
+    with mp.workprec(prec):
+        x = {"0": mp.mpf(0), "1": mp.mpf(1), "-1": mp.mpf(-1),
+             "2^-400": mp.ldexp(1, -400), "-2^-400": -mp.ldexp(1, -400),
+             "1-2^-200": 1 - mp.ldexp(1, -200)}.get(point, point)
+        x = mp.mpf(x)
+        got = ferrers(n, m, x)
+    with mp.workprec(2 * prec):
+        rows = _ferrers_mpf_rows(n, m, x)
+        bound = mp.ldexp(max(abs(v) for v in rows), -(prec - 8))
+        assert abs(got - rows[-1]) <= bound
+
+
 def test_double_factorial_conventions():
     assert double_factorial(-1) == 1
     assert double_factorial(0) == 1

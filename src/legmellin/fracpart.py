@@ -775,25 +775,41 @@ class FracOracleResult:
     terms_used: int
 
 
-def _inner_exact(alpha: int, k: int, z, workprec) -> mp.mpc:
-    """int_0^1 u^alpha (u+k)^-(s+1) du in closed form, alpha in {1, 2}."""
+def _inner_exact(alpha: int, count: int, z, workprec) -> list:
+    """int_0^1 u^alpha (u+k)^-(s+1) du in closed form for k = 1..count,
+    alpha in {1, 2}.
+
+    Step k needs k^(alpha-s) and (k+1)^(alpha-s); the first is step k-1's
+    second, so each is computed once.
+    """
     with mp.workprec(workprec):
-        kk = mp.mpf(k)
-        if alpha == 1:
-            return -(kk + 1) ** (-z) / z + (
-                (kk + 1) ** (1 - z) - kk ** (1 - z)
-            ) / (z * (1 - z))
-        g = -((kk + 1) ** (1 - z)) / (z - 1) + (
-            (kk + 1) ** (2 - z) - kk ** (2 - z)
-        ) / ((z - 1) * (2 - z))
-        return -((kk + 1) ** (-z)) / z + 2 * g / z
+        exponent = alpha - z
+        low = mp.mpf(1) ** exponent
+        values = []
+        for k in range(1, count + 1):
+            kk = mp.mpf(k + 1)
+            high = kk ** exponent
+            if alpha == 1:
+                values.append(-kk ** (-z) / z + (high - low) / (z * (1 - z)))
+            else:
+                g = -(kk ** (1 - z)) / (z - 1) + (high - low) / ((z - 1) * (2 - z))
+                values.append(-(kk ** (-z)) / z + 2 * g / z)
+            low = high
+        return values
 
 
-def _inner_quadrature(aa, k: int, z, workprec, tol) -> Tuple[mp.mpc, mp.mpf]:
+def _inner_quadrature(aa, k: int, z, workprec, tol, powers) -> Tuple[mp.mpc, mp.mpf]:
     """int_0^1 u^alpha (u+k)^-(s+1) du by tanh-sinh, with tanh-sinh's error
-    estimate (extrapolated from the last two levels)."""
+    estimate (extrapolated from the last two levels).
+
+    The nodes on [0, 1] are the same for every k, so u^alpha is looked up
+    in powers, keyed by the node's distance to 0, and computed only once.
+    """
     def f(u, dist_a, dist_b):
-        return dist_a ** aa * (u + k) ** (-(z + 1))
+        power = powers.get(dist_a)
+        if power is None:
+            power = powers[dist_a] = dist_a ** aa
+        return power * (u + k) ** (-(z + 1))
 
     result = tanh_sinh(f, 0, 1, workprec, tolerance=tol, min_level=3)
     return mp.mpc(result.value), result.error_estimate
@@ -811,6 +827,11 @@ def numeric_fracpart_oracle(
     error bound adds the tail bound and, for quadrature inner integrals,
     k^beta times each one's extrapolated tanh-sinh error estimate.  Real
     parameter sets also get the elementary sandwich bounds.
+
+    Each distinct Hurwitz zeta of the tail, each node power u^alpha of the
+    inner quadratures and each power k^(alpha-s) of the exact inner
+    integrals is computed once per call; the values are those of computing
+    every one where it is used, bit for bit.
     """
     workprec = precision_bits + 2 * GUARD_BITS
     beta = spec.beta
@@ -832,13 +853,16 @@ def numeric_fracpart_oracle(
         k_sum_terms = 40
         total = mp.mpc(0)
         quad_error = mp.mpf(0)
+        if exact_alpha is not None:
+            exact = _inner_exact(exact_alpha, k_sum_terms, z, workprec)
+        powers = {}  # u^alpha at the tanh-sinh nodes, shared by all k
         for k in range(1, k_sum_terms + 1):
             weight = mp.mpf(k) ** beta
             if exact_alpha is not None:
-                inner = _inner_exact(exact_alpha, k, z, workprec)
+                inner = exact[k - 1]
             else:
                 inner, error = _inner_quadrature(
-                    aa, k, z, workprec, tol / (8 * k_sum_terms))
+                    aa, k, z, workprec, tol / (8 * k_sum_terms), powers)
                 quad_error += weight * error
             total += weight * inner
 
@@ -847,14 +871,19 @@ def numeric_fracpart_oracle(
         rf = mp.mpc(1)  # (s+1)_i / i!
         i = 0
         tail_bound = mp.mpf(0)
+        # Hurwitz zetas by argument: step i's s + 1 + i - r comes back at
+        # step i + 1 as r + 1.  The key is the rounded argument itself, so a
+        # value is reused only where the call would be the same bit for bit.
+        zetas = {}
         while True:
             zeta_sum = mp.mpc(0)
+            base = z + 1 + i
             for r in range(beta + 1):
-                zeta_sum += (
-                    math.comb(beta, r)
-                    * (-1) ** (beta - r)
-                    * mp.zeta(z + 1 + i - r, shift)
-                )
+                arg = base - r
+                value = zetas.get(arg)
+                if value is None:
+                    value = zetas[arg] = mp.zeta(arg, shift)
+                zeta_sum += math.comb(beta, r) * (-1) ** (beta - r) * value
             term = rf * mp.beta(aa + 1, i + 1) * zeta_sum
             total += term
             if i > 3 and abs(term) < tol / 10:
@@ -869,9 +898,10 @@ def numeric_fracpart_oracle(
         if z.imag == 0 and aa.imag == 0:
             lo = mp.mpf(0)
             for r in range(beta + 1):
-                lo += math.comb(beta, r) * (-1) ** (beta - r) * (mp.zeta(z.real + 1 - r) - 1)
+                top = mp.zeta(z.real + 1 - r)
+                lo += math.comb(beta, r) * (-1) ** (beta - r) * (top - 1)
             lower = lo / (aa.real + 1)
-            upper = mp.zeta(z.real + 1 - beta) / (aa.real + 1)
+            upper = top / (aa.real + 1)  # r = beta: zeta(Re s + 1 - beta)
         return FracOracleResult(
             value=HPComplex.from_value(total, precision_bits),
             error_bound=mp.mpf(tail_bound + quad_error),

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath as mp
+from mpmath.libmp import fzero
 
 from .errors import DomainError
 
@@ -239,6 +240,12 @@ def _as_gaussian(x) -> GaussianRational:
     return GaussianRational(as_rational(x))
 
 
+def _fits(part: tuple, precision_bits: int) -> bool:
+    """Whether an mpf's (sign, mantissa, exponent, bits) tuple is finite
+    with a mantissa of at most precision_bits bits."""
+    return part[3] <= precision_bits if part[1] else part == fzero
+
+
 def to_mpc(value, precision_bits: int) -> mp.mpc:
     """Read a scalar as an mpc, whatever the ambient mp.prec.
 
@@ -246,6 +253,11 @@ def to_mpc(value, precision_bits: int) -> mp.mpc:
     float, complex, mpf and mpc round to precision_bits; HPComplex keeps
     the width it carries.  inf and nan raise DomainError.
     """
+    if isinstance(value, (mp.mpf, mp.mpc)):
+        parts = value._mpc_ if isinstance(value, mp.mpc) else (value._mpf_, fzero)
+        if _fits(parts[0], precision_bits) and _fits(parts[1], precision_bits):
+            # finite and exact in precision_bits: rounding would not move it
+            return mp.make_mpc(parts)
     if isinstance(value, GaussianRational):
         return value.to_mpc(precision_bits)
     if isinstance(value, HPComplex):

@@ -197,6 +197,53 @@ def test_fracpart_ends_in_a_value_or_exit_two(re_s, im_s, b, alpha):
     assert code == (0 if inside else 2)
 
 
+def _assert_typed_refusal(code, err):
+    assert code == 2, err
+    assert err.startswith("legmellin: domain error"), err
+
+
+@settings(max_examples=40, deadline=2000)
+@given(n=st.integers(-2, 30), m=st.integers(-1, 12))
+def test_poly_ends_in_a_value_or_exit_two(n, m):
+    code, out, err = _run_quietly(["poly", f"--n={n}", f"--m={m}"])
+    if 0 <= m <= n and m % 2 == 0:
+        assert code == 0, err
+        assert len(json.loads(out)["coeffs"]) == (n - m) // 2 + 1
+    else:
+        _assert_typed_refusal(code, err)
+
+
+# n - m <= 17 keeps the degree (n - m) // 2 at most 8
+@settings(max_examples=30, deadline=2000)
+@given(m=st.integers(-1, 12), excess=st.integers(-3, 17), prec=st.integers(64, 192))
+def test_zeros_ends_in_a_value_or_exit_two(m, excess, prec):
+    n = m + excess
+    code, out, err = _run_quietly(["zeros", f"--n={n}", f"--m={m}",
+                                   "--precision", str(prec)])
+    if n >= 0 and m >= 0 and m % 2 == 0 and excess >= 2:
+        assert code == 0, err
+        assert len(json.loads(out)["roots"]) == excess // 2
+    else:
+        _assert_typed_refusal(code, err)
+
+
+# |t| <= 4/5 inside the disk keeps the closed form's 4t^2/(1+t^2)^2 <= 0.92
+@settings(max_examples=40, deadline=2000)
+@given(t=_fractions(st.integers(-8, 8), st.sampled_from([1, 2, 5, 10])),
+       re_s=_fractions(st.integers(-4, 12), st.integers(1, 4)),
+       im_s=_fractions(st.integers(-6, 6), st.integers(1, 2)),
+       terms=st.integers(-1, 30), prec=st.integers(64, 192))
+def test_genfun_ends_in_a_value_or_exit_two(t, re_s, im_s, terms, prec):
+    s = f"{re_s}{'+' if im_s >= 0 else ''}{im_s}i" if im_s else str(re_s)
+    code, out, err = _run_quietly(["genfun", f"--t={t}", f"--s={s}",
+                                   f"--terms={terms}", "--precision", str(prec)])
+    if abs(t) < 1 and re_s > 0 and terms >= 0:
+        assert code == 0, err
+        assert json.loads(out)["closed_form"]
+    else:
+        _assert_typed_refusal(code, err)
+
+
 def test_verify_pass_exits_zero(capsys):
     code, out, _ = _run(capsys, ["verify", "--suite", "hahn",
                                  "--precision", "128", "--max-n", "4"])
@@ -218,6 +265,19 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "FAIL reps/planted " in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_verify_fracpart_matches_its_golden_transcript(capsys, monkeypatch):
+    # the default report, byte for byte: the oracles may change how they
+    # compute, never what they print
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    code, out, err = _run(capsys, ["verify", "--suite", "fracpart"])
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / "verify_fracpart.txt").read_bytes().decode("utf-8")
 
 
 def test_unknown_suite_exits_two(capsys):

@@ -2,6 +2,7 @@
 paired integral, and the alternating/direct series transforms."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -30,7 +31,7 @@ from legmellin.fracpart import (
     sublemma_sum,
     sublemma_sum_series,
 )
-from legmellin.mpcore import GaussianRational, HPComplex, RationalPolynomial
+from legmellin.mpcore import GUARD_BITS, GaussianRational, HPComplex, RationalPolynomial, to_mpc
 from legmellin.quadrature import tanh_sinh
 
 
@@ -122,6 +123,123 @@ def test_oracle_bound_counts_inner_quadrature_error(monkeypatch):
         FracIntegralSpec(Fraction(1, 3), 2, Fraction(9, 2)), precision_bits=96)
     inner = reported * sum(k ** 2 for k in range(1, 41))  # the 40-term k-sum
     assert inner <= oracle.error_bound <= inner + mp.mpf(2) ** -80
+
+
+def _reference_oracle(spec, precision_bits):
+    """numeric_fracpart_oracle written without any reuse: every Hurwitz
+    zeta, node power and inner power is computed where it is used.
+
+    Its constants are the oracle's: a 40-term k-sum, each inner quadrature
+    at tolerance / (8 * 40), and a tail of Hurwitz zetas at shift 40 + 2.
+    """
+    workprec = precision_bits + 2 * GUARD_BITS
+    beta = spec.beta
+    with mp.workprec(workprec):
+        z = to_mpc(spec.s, workprec)
+        aa = to_mpc(spec.alpha, workprec)
+        tol = fracpart._default_tolerance(precision_bits)
+        exact_alpha = spec.alpha if spec.alpha in (1, 2) else None
+
+        def inner_exact(k):
+            kk = mp.mpf(k)
+            if exact_alpha == 1:
+                return -(kk + 1) ** (-z) / z + (
+                    (kk + 1) ** (1 - z) - kk ** (1 - z)) / (z * (1 - z))
+            g = -((kk + 1) ** (1 - z)) / (z - 1) + (
+                (kk + 1) ** (2 - z) - kk ** (2 - z)) / ((z - 1) * (2 - z))
+            return -((kk + 1) ** (-z)) / z + 2 * g / z
+
+        def inner_quadrature(k):
+            result = tanh_sinh(
+                lambda u, dist_a, dist_b: dist_a ** aa * (u + k) ** (-(z + 1)),
+                0, 1, workprec, tolerance=tol / 320, min_level=3)
+            return mp.mpc(result.value), result.error_estimate
+
+        total = mp.mpc(0)
+        quad_error = mp.mpf(0)
+        for k in range(1, 41):
+            weight = mp.mpf(k) ** beta
+            if exact_alpha is not None:
+                inner = inner_exact(k)
+            else:
+                inner, error = inner_quadrature(k)
+                quad_error += weight * error
+            total += weight * inner
+        rf = mp.mpc(1)
+        i = 0
+        while True:
+            zeta_sum = mp.mpc(0)
+            for r in range(beta + 1):
+                zeta_sum += (math.comb(beta, r) * (-1) ** (beta - r)
+                             * mp.zeta(z + 1 + i - r, 42))
+            term = rf * mp.beta(aa + 1, i + 1) * zeta_sum
+            total += term
+            if i > 3 and abs(term) < tol / 10:
+                tail_bound = 2 * abs(term)
+                break
+            rf *= (z + 1 + i) / (i + 1)
+            i += 1
+        lower = upper = None
+        if z.imag == 0 and aa.imag == 0:
+            lo = mp.mpf(0)
+            for r in range(beta + 1):
+                lo += math.comb(beta, r) * (-1) ** (beta - r) * (mp.zeta(z.real + 1 - r) - 1)
+            lower = lo / (aa.real + 1)
+            upper = mp.zeta(z.real + 1 - beta) / (aa.real + 1)
+        return (HPComplex.from_value(total, precision_bits),
+                mp.mpf(tail_bound + quad_error), lower, upper, 40 + i + 1)
+
+
+def _bits(x):
+    return None if x is None else x._mpf_
+
+
+# non-dyadic s (7/3, 10/3, 16/3) makes s + 1 + i round differently as i
+# grows, so equal i - r need not mean equal zeta arguments there
+_ORACLE_PANEL = [
+    (1, 0, Fraction(7, 3), 192),
+    (1, 2, GaussianRational(Fraction(13, 4), 2), 128),
+    (1, 4, Fraction(16, 3), 96),
+    (2, 0, Fraction(5, 2), 96),
+    (2, 1, Fraction(10, 3), 128),
+    (2, 3, GaussianRational(Fraction(23, 4), Fraction(-3, 2)), 192),
+    (Fraction(1, 3), 0, GaussianRational(Fraction(9, 4), 1), 128),
+    (Fraction(1, 3), 1, Fraction(10, 3), 96),
+    (Fraction(1, 3), 2, Fraction(19, 4), 192),
+    (Fraction(-1, 2), 1, Fraction(10, 3), 128),
+    (Fraction(-1, 2), 3, Fraction(13, 3), 192),
+    (Fraction(-1, 2), 4, GaussianRational(Fraction(29, 4), Fraction(1, 2)), 96),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,s,bits", _ORACLE_PANEL, ids=str)
+def test_oracle_equals_the_loop_without_reuse(alpha, beta, s, bits):
+    spec = FracIntegralSpec(alpha, beta, s)
+    got = numeric_fracpart_oracle(spec, precision_bits=bits)
+    value, error_bound, lower, upper, terms_used = _reference_oracle(spec, bits)
+    assert got.value.precision_bits == value.precision_bits
+    assert (got.value.real._mpf_, got.value.imag._mpf_) == (value.real._mpf_, value.imag._mpf_)
+    assert got.error_bound._mpf_ == error_bound._mpf_
+    assert (_bits(got.lower), _bits(got.upper)) == (_bits(lower), _bits(upper))
+    assert got.terms_used == terms_used
+
+
+@pytest.mark.parametrize("s", [Fraction(19, 4), GaussianRational(Fraction(19, 4), 2)], ids=str)
+def test_oracle_tail_computes_each_hurwitz_zeta_once(monkeypatch, s):
+    hurwitz = []
+    zeta = mp.zeta
+
+    def counting(sigma, a=1, *args, **kwargs):
+        if a != 1:
+            hurwitz.append(sigma)
+        return zeta(sigma, a, *args, **kwargs)
+
+    monkeypatch.setattr(fracpart.mp, "zeta", counting)
+    beta = 3
+    oracle = numeric_fracpart_oracle(FracIntegralSpec(1, beta, s), precision_bits=128)
+    tail_terms = oracle.terms_used - 40
+    assert len(hurwitz) <= tail_terms + beta  # without reuse: (beta + 1) * tail_terms
+    assert len(set(hurwitz)) == len(hurwitz)
 
 
 def test_oracle_sandwich_brackets_value():

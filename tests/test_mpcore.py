@@ -209,6 +209,48 @@ def test_to_mpc_ignores_the_ambient_precision(value, parts):
     assert narrow == wide == want
 
 
+def _rounded_read(value, precision_bits):
+    # to_mpc's general route for mpf and mpc: round at precision_bits
+    with mp.workprec(precision_bits):
+        z = mp.mpc(value)
+    if not mp.isfinite(z):
+        raise DomainError("not finite")
+    return z
+
+
+@st.composite
+def _mp_values(draw):
+    """(value, precision_bits): an mpf or mpc whose parts have mantissas
+    of about precision_bits bits, often exactly at the boundary."""
+    precision_bits = draw(st.integers(53, 400))
+
+    def part():
+        if draw(st.integers(0, 5)) == 0:
+            return mp.mpf(0)
+        bits = max(1, precision_bits + draw(st.one_of(
+            st.integers(-2, 2), st.integers(-precision_bits, 40))))
+        man = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1)) | 1
+        with mp.workprec(bits):
+            return mp.mpf((draw(st.sampled_from([1, -1])) * man,
+                           draw(st.integers(-700, 700))))
+
+    real = part()
+    if draw(st.booleans()):
+        return real, precision_bits
+    imag = part()
+    with mp.workprec(precision_bits + 64):
+        return mp.mpc(real, imag), precision_bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mp_values(), ambient=st.integers(10, 500))
+def test_to_mpc_fast_path_equals_the_rounded_read(case, ambient):
+    value, precision_bits = case
+    with mp.workprec(ambient):
+        got = to_mpc(value, precision_bits)
+    assert got._mpc_ == _rounded_read(value, precision_bits)._mpc_
+
+
 EXACT_CASES = [
     (3, GaussianRational(3)),
     (Fraction(1, 3), GaussianRational(Fraction(1, 3))),

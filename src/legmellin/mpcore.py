@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath as mp
-from mpmath.libmp import fzero
+from mpmath.libmp import fzero, mpf_pos, round_nearest
 
 from .errors import DomainError
 
@@ -240,12 +240,6 @@ def _as_gaussian(x) -> GaussianRational:
     return GaussianRational(as_rational(x))
 
 
-def _fits(part: tuple, precision_bits: int) -> bool:
-    """Whether an mpf's (sign, mantissa, exponent, bits) tuple is finite
-    with a mantissa of at most precision_bits bits."""
-    return part[3] <= precision_bits if part[1] else part == fzero
-
-
 def to_mpc(value, precision_bits: int) -> mp.mpc:
     """Read a scalar as an mpc, whatever the ambient mp.prec.
 
@@ -254,13 +248,12 @@ def to_mpc(value, precision_bits: int) -> mp.mpc:
     the width it carries.  inf and nan raise DomainError.
     """
     if isinstance(value, (mp.mpf, mp.mpc)):
-        parts = value._mpc_ if isinstance(value, mp.mpc) else (value._mpf_, fzero)
-        if _fits(parts[0], precision_bits) and _fits(parts[1], precision_bits):
-            # finite and exact in precision_bits: rounding would not move it
-            return mp.make_mpc(parts)
-    if isinstance(value, GaussianRational):
+        re, im = value._mpc_ if isinstance(value, mp.mpc) else (value._mpf_, fzero)
+        z = mp.make_mpc((mpf_pos(re, precision_bits, round_nearest),
+                         mpf_pos(im, precision_bits, round_nearest)))
+    elif isinstance(value, GaussianRational):
         return value.to_mpc(precision_bits)
-    if isinstance(value, HPComplex):
+    elif isinstance(value, HPComplex):
         z = value.to_mpc()
     else:
         with mp.workprec(precision_bits):

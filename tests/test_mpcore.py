@@ -210,7 +210,7 @@ def test_to_mpc_ignores_the_ambient_precision(value, parts):
 
 
 def _rounded_read(value, precision_bits):
-    # to_mpc's general route for mpf and mpc: round at precision_bits
+    # mpmath's own read of a value at precision_bits
     with mp.workprec(precision_bits):
         z = mp.mpc(value)
     if not mp.isfinite(z):
@@ -244,7 +244,7 @@ def _mp_values(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=_mp_values(), ambient=st.integers(10, 500))
-def test_to_mpc_fast_path_equals_the_rounded_read(case, ambient):
+def test_to_mpc_rounds_mp_values_like_a_workprec_read(case, ambient):
     value, precision_bits = case
     with mp.workprec(ambient):
         got = to_mpc(value, precision_bits)

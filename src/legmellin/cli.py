@@ -48,8 +48,9 @@ def _imag_split(body: str) -> int:
     return -1
 
 
-def _parse_scalar(text: str, precision_bits: int):
-    """Rational like 3/2 or 0.75, or complex like 2+3i with rational parts."""
+def _parse_exact(text: str):
+    """Rational like 3/2 or 0.75 as a Fraction, or complex like 2+3i with
+    rational parts as a GaussianRational."""
     cleaned = text.strip().replace(" ", "")
     if not cleaned:
         raise DomainError("empty numeric argument")
@@ -63,8 +64,15 @@ def _parse_scalar(text: str, precision_bits: int):
         re_part, im_part = body[:cut], body[cut:]
     if im_part in ("+", "-"):
         im_part += "1"
-    g = GaussianRational(re_part, im_part)
-    return g.to_hpcomplex(precision_bits)
+    return GaussianRational(re_part, im_part)
+
+
+def _parse_scalar(text: str, precision_bits: int):
+    """_parse_exact, with a complex value rounded to precision_bits."""
+    value = _parse_exact(text)
+    if isinstance(value, GaussianRational):
+        return value.to_hpcomplex(precision_bits)
+    return value
 
 
 def _resolve_precision(value: Optional[int]) -> int:
@@ -153,7 +161,8 @@ def _cmd_mellin(args: argparse.Namespace) -> int:
 
 def _cmd_genfun(args: argparse.Namespace) -> int:
     prec = _resolve_precision(args.precision)
-    t = _parse_scalar(args.t, prec)
+    # t stays exact, so that genfun decides its domain exactly
+    t = _parse_exact(args.t)
     s = _parse_scalar(args.s, prec)
     comparison = genfun(t, s, args.terms, prec)
     digits = _digits(prec)
@@ -398,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_genfun = sub.add_parser("genfun", help="generating-series partial sum "
                                              "against the closed form")
-    p_genfun.add_argument("--t", required=True, help="|t| < 1, e.g. 1/10")
+    p_genfun.add_argument("--t", required=True, help="|t| < 1 and |4t^2/(1+t^2)^2| < 1 "
+                          "(every real |t| < 1), e.g. 1/10")
     p_genfun.add_argument("--s", required=True)
     p_genfun.add_argument("--terms", type=int, default=60, metavar="N")
     _add_common(p_genfun)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Dict, Tuple
 
@@ -97,28 +98,24 @@ class MellinClosedForm:
         return HPComplex.from_value(value, precision_bits)
 
 
-# integer coefficient lists with one shared denominator; one gcd reduction
-# per recursion step keeps n = 200 comfortably under the time budget
+# p_n^m in the falling-factorial basis f_j(s) = s(s-1)...(s-j+1): integer
+# coefficients c_j with one shared denominator, p = sum_j c_j f_j / den.
+# Every degree from m up to the highest one built for this m is kept.
 _PolyInt = Tuple[Tuple[int, ...], int]
 _POLY_CACHE: Dict[Tuple[int, int], _PolyInt] = {}
 
 
-def _shift_plus_one(coeffs: Tuple[int, ...]) -> list:
-    out = [0] * len(coeffs)
-    for i, ci in enumerate(coeffs):
-        if ci:
-            binom = 1
-            for j in range(i, -1, -1):
-                out[j] += ci * binom
-                binom = binom * j // (i - j + 1)
-    return out
-
-
 def _poly_int(n: int, m: int) -> _PolyInt:
-    """(coeffs, denominator) of p_n^m, m even, via the two-branch recursion.
+    """(falling-factorial coeffs, denominator) of p_n^m, m even, via the
+    two-branch recursion
 
-    The cache holds every degree from m up to the highest one built for this
-    m, so the recursion resumes from the two highest cached degrees.
+        p_k = (2/(k-m)) [ (2k-1) s p_{k-1}(s+1) - (k+m-1)(s+k-1) p_{k-2} ],  k-m even,
+        p_k = (1/(k-m)) [ (2k-1) p_{k-1}(s+1) - 2(k+m-1)(s+k-1) p_{k-2} ],  k-m odd.
+
+    In this basis both operations take O(d) integer steps: the shift by one is
+    f_j(s+1) = f_j(s) + j f_{j-1}(s), and (s+c) f_j = f_{j+1} + (j+c) f_j.
+    Each step reduces by the gcd of its coefficients and denominator, and
+    the recursion resumes from the two highest cached degrees.
     """
     key = (n, m)
     if key in _POLY_CACHE:
@@ -132,46 +129,36 @@ def _poly_int(n: int, m: int) -> _PolyInt:
         top += 1
     prev2, prev1 = _POLY_CACHE[(top - 1, m)], _POLY_CACHE[(top, m)]
     for k in range(top + 1, n + 1):
-        a, da = prev1
-        b, db = prev2
-        shifted = _shift_plus_one(a)
+        (a, da), (b, db) = prev1, prev2
+        t1 = [c + (j + 1) * d for j, (c, d) in enumerate(zip(a, a[1:] + (0,)))]
         if (k - m) % 2 == 0:
-            # p_k = (2/(k-m)) [ (2k-1) s p_{k-1}(s+1) - (k+m-1)(s+k-1) p_{k-2} ]
-            t1 = [0] + [(2 * k - 1) * c for c in shifted]
-            t2 = [0] * (len(b) + 1)
-            for i, c in enumerate(b):
-                c *= k + m - 1
-                t2[i + 1] += c
-                t2[i] += c * (k - 1)
-            width = max(len(t1), len(t2))
-            num = [2 * (db * (t1[i] if i < len(t1) else 0)
-                        - da * (t2[i] if i < len(t2) else 0)) for i in range(width)]
-            den = da * db * (k - m)
+            t1 = [c + j * d for j, (c, d) in enumerate(zip([0] + t1, t1 + [0]))]
+            u = 2 * (2 * k - 1) * db
         else:
-            # p_k = (1/(k-m)) [ (2k-1) p_{k-1}(s+1) - 2(k+m-1)(s+k-1) p_{k-2} ]
-            t1 = [(2 * k - 1) * c for c in shifted]
-            t2 = [0] * (len(b) + 1)
-            for i, c in enumerate(b):
-                c *= 2 * (k + m - 1)
-                t2[i + 1] += c
-                t2[i] += c * (k - 1)
-            width = max(len(t1), len(t2))
-            num = [db * (t1[i] if i < len(t1) else 0)
-                   - da * (t2[i] if i < len(t2) else 0) for i in range(width)]
-            den = da * db * (k - m)
+            u = (2 * k - 1) * db
+        t2 = [c + (j + k - 1) * d for j, (c, d) in enumerate(zip((0,) + b, b + (0,)))]
+        v = 2 * (k + m - 1) * da
+        num = [u * x - v * y for x, y in zip_longest(t1, t2, fillvalue=0)]
+        den = da * db * (k - m)
         while num and num[-1] == 0:
             num.pop()
-        g = gcd(den, 0)
-        for c in num:
-            g = gcd(g, c)
+        g = gcd(den, *num)
         if den < 0:
             g = -g
-        num = tuple(c // g for c in num)
-        den //= g
-        current: _PolyInt = (num, den)
+        current: _PolyInt = (tuple(c // g for c in num), den // g)
         _POLY_CACHE[(k, m)] = current
         prev2, prev1 = prev1, current
     return _POLY_CACHE[key]
+
+
+def _monomial(coeffs: Tuple[int, ...]) -> list:
+    """Monomial coefficients of sum_j coeffs[j] f_j(s), by Horner in Newton
+    form: p <- p (s - j) + coeffs[j] from the top degree down."""
+    out = [coeffs[-1]]
+    for j in range(len(coeffs) - 2, -1, -1):
+        out = [coeffs[j] - j * out[0]] + [
+            c - j * d for c, d in zip(out, out[1:] + [0])]
+    return out
 
 
 def _two_power(n: int, m: int) -> int:
@@ -192,7 +179,7 @@ def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
     if m > n:
         raise DomainError(f"order m = {m} exceeds degree n = {n}")
     coeffs, den = _poly_int(n, m)
-    poly = RationalPolynomial([Fraction(c, den) for c in coeffs])
+    poly = RationalPolynomial([Fraction(c, den) for c in _monomial(coeffs)])
     prefactor = GammaPrefactor(
         sqrt_pi_power=1,
         two_power_exponent=_two_power(n, m),
@@ -730,6 +717,13 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
     The closed form's second line carries a 1/s factor; without it the odd
     line disagrees with the partial sums by exactly a factor s.  The tail
     bound C|t|^{N+1} uses |M_k(s)| <= 1/Re(s), valid since |P_k| <= 1.
+
+    Domain: |t| < 1 for the series, and |zz| < 1 with zz = 4t^2/(1+t^2)^2
+    for the closed form's hypergeometric sums.  Every real t in (-1, 1)
+    meets both; a non-real t may not (t = i/2 gives zz = -16/9), and is
+    refused before the partial sum is spent.  For exact t the test on zz
+    is exact, so t = 1/5 + 2/5 i, where |zz| = 1, is refused at every
+    precision.
     """
     if N < 0:
         raise DomainError("partial sum needs N >= 0")
@@ -742,6 +736,18 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
             sq = z
         if not abs(tv) < 1:
             raise DomainError("generating series requires |t| < 1")
+        zz = 4 * tv * tv / (1 + tv * tv) ** 2
+        tq = exact_or_none(t)
+        if tq is not None:
+            # |zz| < 1 iff 16 |t^2|^2 < |1 + t^2|^4, decided in rationals
+            t2 = tq * tq
+            u = 1 + t2
+            inside = 16 * (t2.re ** 2 + t2.im ** 2) < (u.re ** 2 + u.im ** 2) ** 2
+        else:
+            inside = abs(zz) < 1
+        if not inside:
+            raise DomainError("closed form requires |4t^2/(1+t^2)^2| < 1, "
+                              f"got {mp.nstr(abs(zz), 6)}")
 
         even = mp.mpc(0)
         odd = mp.mpc(0)
@@ -752,7 +758,6 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
             else:
                 odd += term
 
-        zz = 4 * tv * tv / (1 + tv * tv) ** 2
         shared = mp.sqrt(mp.pi) / mp.sqrt(1 + tv * tv)
         line1 = shared * mp.gamma(z / 2) / (2 * mp.gamma((z + 1) / 2)) * hyp_pfq(
             HypergeometricSpec((_frac(1, 4), _frac(3, 4), sq / 2),

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_pos, round_nearest
+from mpmath.libmp import from_int, fzero, mpf_div, mpf_pos, round_nearest
 
 from .errors import DomainError
 
@@ -46,9 +46,13 @@ def as_rational(x: RationalLike | str) -> Fraction:
 
 
 def rational_to_mpf(x: Fraction | int, precision_bits: int) -> mp.mpf:
+    """x rounded as mp.mpf(num) / mp.mpf(den) under workprec(precision_bits):
+    each integer, then the quotient, rounded to nearest, with no context."""
     x = as_rational(x)
-    with mp.workprec(precision_bits):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    p = precision_bits
+    return mp.make_mpf(mpf_div(from_int(x.numerator, p, round_nearest),
+                               from_int(x.denominator, p, round_nearest),
+                               p, round_nearest))
 
 
 def _to_mpf(value, precision_bits: int) -> mp.mpf:

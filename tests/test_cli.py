@@ -227,21 +227,59 @@ def test_zeros_ends_in_a_value_or_exit_two(m, excess, prec):
         _assert_typed_refusal(code, err)
 
 
-# |t| <= 4/5 inside the disk keeps the closed form's 4t^2/(1+t^2)^2 <= 0.92
+def _complex_text(re, im):
+    return f"{re}{'+' if im >= 0 else ''}{im}i" if im else str(re)
+
+
+# t = (a + bi)/d with |a|, |b| <= 6: wherever |t| < 1 and the closed form's
+# zz = 4t^2/(1+t^2)^2 has |zz| < 1, |zz| <= 0.952 (at t = 4/5).  The grid holds
+# t = i/2 (zz = -16/9) and t = 1/5 + 2/5 i, where |zz| = 1 exactly.
 @settings(max_examples=40, deadline=2000)
-@given(t=_fractions(st.integers(-8, 8), st.sampled_from([1, 2, 5, 10])),
+@given(d=st.sampled_from([1, 2, 5, 10]), a=st.integers(-6, 6), b=st.integers(-6, 6),
        re_s=_fractions(st.integers(-4, 12), st.integers(1, 4)),
        im_s=_fractions(st.integers(-6, 6), st.integers(1, 2)),
        terms=st.integers(-1, 30), prec=st.integers(64, 192))
-def test_genfun_ends_in_a_value_or_exit_two(t, re_s, im_s, terms, prec):
-    s = f"{re_s}{'+' if im_s >= 0 else ''}{im_s}i" if im_s else str(re_s)
-    code, out, err = _run_quietly(["genfun", f"--t={t}", f"--s={s}",
-                                   f"--terms={terms}", "--precision", str(prec)])
-    if abs(t) < 1 and re_s > 0 and terms >= 0:
+def test_genfun_ends_in_a_value_or_exit_two(d, a, b, re_s, im_s, terms, prec):
+    re_t, im_t = Fraction(a, d), Fraction(b, d)
+    code, out, err = _run_quietly([
+        "genfun", f"--t={_complex_text(re_t, im_t)}", f"--s={_complex_text(re_s, im_s)}",
+        f"--terms={terms}", "--precision", str(prec)])
+    # |zz| < 1 iff 16 |t^2|^2 < |1 + t^2|^4
+    sq_re, sq_im = re_t ** 2 - im_t ** 2, 2 * re_t * im_t
+    closed_form_converges = 16 * (sq_re ** 2 + sq_im ** 2) < ((1 + sq_re) ** 2 + sq_im ** 2) ** 2
+    if re_t ** 2 + im_t ** 2 < 1 and closed_form_converges and re_s > 0 and terms >= 0:
         assert code == 0, err
         assert json.loads(out)["closed_form"]
     else:
         _assert_typed_refusal(code, err)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(what=st.sampled_from(["polys", "zeros", "transforms"]),
+       start=st.integers(-1, 20), stop=st.integers(-1, 20), m=st.integers(-1, 12),
+       re_s=_fractions(st.integers(-4, 12), st.integers(1, 4)),
+       im_s=_fractions(st.integers(-6, 6), st.integers(1, 2)),
+       fmt=st.sampled_from(["csv", "json"]), prec=st.integers(64, 192))
+def test_table_ends_in_a_value_or_exit_two(what, start, stop, m, re_s, im_s, fmt, prec):
+    code, out, err = _run_quietly([
+        "table", f"--what={what}", f"--start={start}", f"--stop={stop}", f"--m={m}",
+        f"--s={_complex_text(re_s, im_s)}", f"--format={fmt}", "--precision", str(prec)])
+    # polys need an even m <= n on every row, zeros a degree (n - m) // 2 >= 1,
+    # and transforms Re s > 0 (rows with m > n are exact zeros)
+    valid = 0 <= start <= stop and m >= 0 and {
+        "polys": m % 2 == 0 and m <= start,
+        "zeros": m % 2 == 0 and m + 2 <= start,
+        "transforms": re_s > 0,
+    }[what]
+    if not valid:
+        _assert_typed_refusal(code, err)
+        return
+    assert code == 0, err
+    rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+    if what == "zeros":
+        assert len(rows) == sum((n - m) // 2 for n in range(start, stop + 1))
+    else:
+        assert [int(row["n"]) for row in rows] == list(range(start, stop + 1))
 
 
 def test_verify_pass_exits_zero(capsys):

@@ -2,6 +2,7 @@
 series."""
 
 import contextlib
+import hashlib
 import signal
 import sys
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legmellin import mellin
+from legmellin.criticality import functional_equation_check
 from legmellin.errors import DomainError
 from legmellin.mpcore import (
     GUARD_BITS,
@@ -75,6 +77,29 @@ def test_poly_leading_coefficient_and_degree():
         p = poly_factor(n, 0).poly
         assert p.degree == n // 2
         assert p.leading_coefficient == 2 ** (n // 2)
+
+
+# SHA-256 of str(coefficients), pinned from the monomial-basis recursion that
+# the falling-factorial walk replaced: the exact rationals must not move
+POLY_DIGESTS = {
+    (100, 0): "530335021623724a1b0ba59b37b0e42b47d5986d537f8b6572b27c9296fd7776",
+    (200, 0): "c24b22ee11323d7d26a4572e0f2300dc2fe8ee557500e992b4d000015d9ac20b",
+    (300, 0): "237704fd9a157c7dc9d71cf9f4db2ae0bd9e06bc847f9b95650045e17ea17c95",
+    (150, 2): "0d279a321f233eba3613806784bf686fa0074acc72f631e8715842e124f5b713",
+    (201, 10): "0055527c84b12707a966c3212aa2ba077051054a2f47621f7946d6cdfba34321",
+}
+
+
+@pytest.mark.parametrize("key", sorted(POLY_DIGESTS))
+def test_high_degree_polynomial_digests(key):
+    coeffs = poly_factor(*key).poly.coefficients
+    assert hashlib.sha256(str(coeffs).encode()).hexdigest() == POLY_DIGESTS[key]
+
+
+@pytest.mark.parametrize("n, m", [(300, 0), (201, 10)])
+def test_reflection_identity_at_high_degree(n, m):
+    # p_n(s) = (-1)^floor(n/2) p_n(1-s), proved over the rationals
+    assert functional_equation_check(n, m)
 
 
 def test_poly_factor_rejects_bad_orders():
@@ -262,20 +287,21 @@ def test_fixed_point_walk_holds_its_precision(n, m, s):
 
 
 def test_poly_int_resumes_from_cached_degrees(monkeypatch):
-    calls = []
-    shift = mellin._shift_plus_one
+    # each step of the walk stores exactly one new degree in the cache
+    class CountingCache(dict):
+        stores = 0
 
-    def counting(coeffs):
-        calls.append(len(coeffs))
-        return shift(coeffs)
+        def __setitem__(self, key, value):
+            CountingCache.stores += 1
+            super().__setitem__(key, value)
 
     monkeypatch.setattr(mellin, "_POLY_CACHE", {})
     cold = mellin._poly_int(20, 0)
     monkeypatch.setattr(mellin, "_POLY_CACHE", {})
     mellin._poly_int(12, 0)
-    monkeypatch.setattr(mellin, "_shift_plus_one", counting)
+    monkeypatch.setattr(mellin, "_POLY_CACHE", CountingCache(mellin._POLY_CACHE))
     assert mellin._poly_int(20, 0) == cold
-    assert len(calls) == 8
+    assert CountingCache.stores == 8
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +519,20 @@ def test_genfun_domain_checks():
         genfun(Fraction(3, 2), Fraction(2), 10, 128)
     with pytest.raises(DomainError):
         genfun(Fraction(1, 10), Fraction(2), -1, 128)
+
+
+@pytest.mark.parametrize("t", [
+    GaussianRational(0, Fraction(1, 2)),                  # zz = -16/9
+    GaussianRational(Fraction(1, 5), Fraction(2, 5)),     # |zz| = 1 exactly
+    mp.mpc(0, 0.5),                                       # inexact, decided in mp
+])
+def test_genfun_refuses_t_outside_the_closed_form_disk(t):
+    # |t| < 1 in every case; zz = 4t^2/(1+t^2)^2 has |zz| >= 1.  At 70 bits
+    # the rounded 1/5 + 2/5 i has |zz| just below 1, where the closed form's
+    # series would run to its term budget, so the test on exact t is exact.
+    for bits in (64, 70, 128):
+        with pytest.raises(DomainError, match="closed form"):
+            genfun(t, Fraction(2), 30, bits)
 
 
 # ---------------------------------------------------------------------------

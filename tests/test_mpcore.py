@@ -40,6 +40,20 @@ def test_rational_to_mpf_is_ambient_independent():
     assert err < mp.mpf(2) ** -250
 
 
+@settings(max_examples=300, deadline=None)
+@given(num=st.one_of(st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 700, 2 ** 700)),
+       den=st.one_of(st.integers(1, 2 ** 40), st.integers(1, 2 ** 700)),
+       precision_bits=st.integers(10, 500), ambient=st.integers(10, 500))
+def test_rational_to_mpf_rounds_like_a_workprec_quotient(num, den, precision_bits, ambient):
+    # the reference is the quotient of two mpf integers under workprec
+    x = Fraction(num, den)
+    with mp.workprec(precision_bits):
+        want = mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    with mp.workprec(ambient):
+        got = rational_to_mpf(x, precision_bits)
+    assert got._mpf_ == want._mpf_
+
+
 def test_hpcomplex_rejects_low_precision():
     with pytest.raises(DomainError):
         HPComplex(1, 0, 32)

@@ -318,6 +318,31 @@ def test_verify_fracpart_matches_its_golden_transcript(capsys, monkeypatch):
     assert out == (GOLDEN / "verify_fracpart.txt").read_bytes().decode("utf-8")
 
 
+def test_verify_zeros_matches_its_golden_transcript(capsys, monkeypatch):
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    code, out, err = _run(capsys, ["verify", "--suite", "zeros"])
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / "verify_zeros.txt").read_bytes().decode("utf-8")
+
+
+ZEROS_PANEL = (["--n", "24", "--precision", "512"], ["--n", "40", "--m", "4"],
+               ["--n", "60"], ["--n", "120", "--precision", "256"],
+               ["--n", "59", "--m", "10", "--precision", "192"])
+
+
+def test_zeros_panel_matches_its_golden_transcript(capsys, monkeypatch):
+    # each report's roots, residuals and deviations, byte for byte, up to
+    # degree 60 and 512 bits
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    parts = []
+    for args in ZEROS_PANEL:
+        code, out, err = _run(capsys, ["zeros", *args])
+        assert (code, err) == (0, "")
+        parts.append("$ legmellin zeros " + " ".join(args) + "\n" + out)
+    assert "".join(parts) == (GOLDEN / "zeros_panel.txt").read_bytes().decode("utf-8")
+
+
 def test_unknown_suite_exits_two(capsys):
     code, _, err = _run(capsys, ["verify", "--suite", "bogus"])
     assert code == 2

@@ -3,15 +3,15 @@ proven on the line, difference-equation residuals, and the continuous-Hahn
 bridge.
 
 The zero certificate is exact.  Each polynomial factor p_n^m satisfies
-p(1-s) = +-p(s), so p(1/2 + x) = x^e R(-x^2) with rational R.
+p(1-s) = +-p(s), so p(1/2 + it) = (it)^e R(t^2) with rational R.
 `find_roots` locates the roots of R in real arithmetic and proves them by
 the exact sign alternation of R at dyadic points, which makes every root
 of p simple and on Re s = 1/2 with no tolerance involved.  That R is
 real-rooted is the paper's theorem, reached through its continuous-Hahn
-bridge (`hahn_proportionality`).  Newton residuals are reported, not
-relied on.  Polynomials without the symmetry, and symmetric ones the
-proof does not cover, go to complex Aberth iteration, whose certificate
-is the Newton residual.
+bridge (`hahn_proportionality`).  Polynomials without the symmetry, and
+symmetric ones the proof does not cover, are refused with a typed error.
+Newton residuals on p and a real Newton cross-check on R are reported,
+not relied on.
 
 The functional-equation sign deserves a note.  A real-coefficient polynomial
 whose roots all sit on Re s = 1/2 satisfies p(1-s) = (-1)^(deg p) p(s), and
@@ -65,17 +65,36 @@ def _monic_coeffs(p: RationalPolynomial, workprec: int) -> List[mp.mpc]:
         return [mp.mpc(c / vals[-1]) for c in vals]
 
 
-def _newton_polish(coeffs, z, workprec: int):
-    """Plain Newton on the coefficient list, to the working-precision floor."""
-    for _ in range(64):
-        pv, dpv = _eval_with_derivative(coeffs, z)
-        if pv == 0 or dpv == 0:
-            break
-        step = pv / dpv
-        z -= step
-        if abs(step) <= (abs(z) + 1) * mp.mpf(2) ** (-(workprec - 8)):
-            break
-    return z
+def _half_polynomial(p: RationalPolynomial) -> Tuple[int, RationalPolynomial]:
+    """(e, R) with p(1/2 + it) = (it)^e R(t^2), or DomainError when
+    p(1-s) != +-p(s), so that p(1/2 + x) mixes even and odd powers."""
+    c = poly_affine_substitute(p, Fraction(1), Fraction(1, 2)).coefficients
+    e = p.degree % 2
+    if any(c[1 - e::2]):
+        raise DomainError("roots are computed only for p with p(1-s) = +-p(s)")
+    return e, RationalPolynomial(-v if j % 2 else v for j, v in enumerate(c[e::2]))
+
+
+def _newton_maehly(a, y: mp.mpf, found: List[mp.mpf], workprec: int) -> Optional[mp.mpf]:
+    """Newton on the real coefficient list a from y, with the roots in found
+    divided out implicitly, or None when it does not settle.  It stops at
+    an exact zero, at a step that fails to shrink (the floor of evaluation
+    noise) or at one below |y| 2^-(workprec-8)."""
+    floor = mp.mpf(2) ** (-(workprec - 8))
+    last = mp.inf
+    for _ in range(64 + 8 * (len(a) - 1)):
+        v, dv = _eval_with_derivative(a, y)
+        if v == 0:
+            return y
+        if dv == 0:
+            return None
+        step = v / dv
+        step /= 1 - step * mp.fsum(1 / (y - z) for z in found)
+        y -= step
+        if abs(step) >= last or abs(step) <= abs(y) * floor:
+            return y
+        last = abs(step)
+    return None
 
 
 def _descending_real_roots(r: RationalPolynomial, workprec: int) -> Optional[List[mp.mpf]]:
@@ -85,42 +104,25 @@ def _descending_real_roots(r: RationalPolynomial, workprec: int) -> Optional[Lis
     If every root is real and positive each search starts above the root
     it is after, where the steps shrink monotonically: the first just
     above the sum of the roots, each later one just below the last root
-    found or just above the sum of the roots still missing.  A step that
-    fails to shrink marks the floor of evaluation noise.  A root that is
-    not positive ends the search.  Nothing here is trusted; the caller
+    found or just above the sum of the roots still missing.  A root that
+    is not positive ends the search.  Nothing here is trusted; the caller
     proves the result exactly."""
     k = r.degree
-    with mp.workprec(workprec):
-        a = [rational_to_mpf(c, workprec) for c in r.coefficients]
-        total = -a[k - 1] / a[k]
-        if not total > 0:
+    a = [rational_to_mpf(c, workprec) for c in r.coefficients]
+    total = -a[k - 1] / a[k]
+    if not total > 0:
+        return None
+    above = 1 + mp.mpf(2) ** -16
+    below = 1 - mp.mpf(2) ** (-(workprec // 4))
+    found: List[mp.mpf] = []
+    y = total * above
+    for _ in range(k):
+        y = _newton_maehly(a, y, found, workprec)
+        if y is None or not y > 0:
             return None
-        above = 1 + mp.mpf(2) ** -16
-        below = 1 - mp.mpf(2) ** (-(workprec // 4))
-        floor = mp.mpf(2) ** (-(workprec - 8))
-        found: List[mp.mpf] = []
-        y = total * above
-        for _ in range(k):
-            last = mp.inf
-            for _ in range(64 + 8 * k):
-                v, dv = _eval_with_derivative(a, y)
-                if v == 0:
-                    break
-                if dv == 0:
-                    return None
-                step = v / dv
-                step /= 1 - step * mp.fsum(1 / (y - z) for z in found)
-                y -= step
-                if abs(step) >= last or abs(step) <= abs(y) * floor:
-                    break
-                last = abs(step)
-            else:
-                return None
-            if not y > 0:
-                return None
-            found.append(y)
-            y = min(y * below, (total - mp.fsum(found)) * above)
-        return found
+        found.append(y)
+        y = min(y * below, (total - mp.fsum(found)) * above)
+    return found
 
 
 def _sign_alternation_proves(r: RationalPolynomial, located: List[mp.mpf]) -> bool:
@@ -140,154 +142,42 @@ def _sign_alternation_proves(r: RationalPolynomial, located: List[mp.mpf]) -> bo
     return all(a * b < 0 for a, b in zip(values, values[1:]))
 
 
-def _line_roots(p: RationalPolynomial, precision_bits: int) -> Optional[List[HPComplex]]:
-    """The roots of p, proven simple and on Re s = 1/2, or None.
+def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -> List[HPComplex]:
+    """All roots of p, proven simple and on Re s = 1/2, sorted by imaginary
+    part and rounded to precision_bits.
 
-    With p(1/2 + x) = x^e R(-x^2), the roots of p are 1/2 +- i sqrt(y) for
-    the roots y of R, plus 1/2 when e = 1.  So every root of p is simple
-    and on the line exactly when R has deg R distinct positive roots,
-    which `_sign_alternation_proves` checks exactly.  R is real-rooted for
+    The domain is the polynomials with p(1-s) = +-p(s), as every factor
+    p_n^m; any other p raises DomainError.  With p(1/2 + it) = (it)^e R(t^2)
+    the roots of p are 1/2 +- i sqrt(y) for the roots y of R, plus 1/2 when
+    e = 1.  The roots of R are located in real arithmetic and proven by the
+    exact sign alternation of R at dyadic points, which shows that R has
+    deg R distinct positive roots; no tolerance enters the proof.  When the
+    proof fails (a root off the line, a multiple root, or a locator that
+    does not settle) it raises ConvergenceError.  R is real-rooted for
     every p_n^m, as the paper shows through its continuous-Hahn bridge
     (`hahn_proportionality`: p_2n^0(s) is a constant times a continuous
     Hahn polynomial in x = -is/2); the code assumes none of that."""
-    c = poly_affine_substitute(p, Fraction(1), Fraction(1, 2)).coefficients
-    e = p.degree % 2
-    if any(c[1 - e::2]):
-        return None  # p(1/2 + x) mixes even and odd powers: p(1-s) != +-p(s)
-    r = RationalPolynomial(-v if j % 2 else v for j, v in enumerate(c[e::2]))
+    if p.is_zero:
+        raise DomainError("the zero polynomial has no root set")
+    if p.degree == 0:
+        return []
+    e, r = _half_polynomial(p)
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
         located: List[mp.mpf] = []
         if r.degree > 0:
             found = _descending_real_roots(r, workprec)
             if found is None:
-                return None
+                raise ConvergenceError(
+                    "no deg R positive roots located on the half-polynomial: a root "
+                    "off Re s = 1/2, a multiple root, or a locator that did not settle")
             located = found[::-1]
             if not _sign_alternation_proves(r, located):
-                return None
+                raise ConvergenceError(
+                    "the exact sign proof failed: a root off Re s = 1/2 or a multiple root")
         heights = [mp.sqrt(y) for y in located]
         imag = [-h for h in reversed(heights)] + [mp.mpf(0)] * e + heights
         return [HPComplex(Fraction(1, 2), t, precision_bits) for t in imag]
-
-
-def _horner_error_bounds(coeffs, z, workprec: int):
-    """Bounds on the rounding errors of `_eval_with_derivative` at z for p
-    and for p': 4 d u sum |c_i| |z|^i and 4 d u sum i |c_i| |z|^(i-1), with
-    u = 2^-workprec (Higham, Accuracy and Stability, section 5.1; the
-    factor 4 d covers complex arithmetic and the rounded coefficients)."""
-    d = len(coeffs) - 1
-    r = abs(z)
-    sizes = [abs(c) for c in coeffs]
-    bound, dbound = sizes[-1], mp.mpf(0)
-    for c in reversed(sizes[:-1]):
-        dbound = dbound * r + bound
-        bound = bound * r + c
-    scale = 4 * d * mp.mpf(2) ** (-workprec)
-    return scale * bound, scale * dbound
-
-
-def _aberth_roots(p: RationalPolynomial, precision_bits: int) -> List[HPComplex]:
-    """All roots of p by simultaneous Aberth iteration with per-root Newton
-    polish.  Each returned root carries the certificate
-    (|p| + e)/(|p'| - e') <= 2^(-prec/2) at the root, where e and e' bound
-    the rounding errors of evaluating p and p', and the disks of d times
-    that radius are pairwise disjoint.  Otherwise, or when |p'| <= e', the
-    roots are multiple or clustered and we refuse: a computed p that is
-    only rounding noise proves nothing."""
-    d = p.degree
-    workprec = precision_bits + _GUARD
-    with mp.workprec(workprec):
-        coeffs = _monic_coeffs(p, workprec)
-
-        # Fujiwara bound, centered start on the symmetry axis
-        bound = mp.mpf(0)
-        for i in range(d):
-            if coeffs[i] != 0:
-                mag = abs(coeffs[i]) / (2 if i == 0 else 1)
-                bound = max(bound, 2 * mag ** (mp.mpf(1) / (d - i)))
-        radius = max(mp.mpf(1), bound)
-        golden = (mp.sqrt(5) - 1) / 2
-        centre = mp.mpc(mp.mpf(1) / 2, 0)
-        z = [
-            centre + radius * mp.exp(mp.mpc(0, 1) * 2 * mp.pi * (mp.mpf(j) / d + golden * j / (d + 1)))
-            for j in range(d)
-        ]
-
-        tol = mp.mpf(2) ** (-(workprec - 16))
-        budget = 60 + 12 * d
-        for _ in range(budget):
-            max_step = mp.mpf(0)
-            for j in range(d):
-                pv, dpv = _eval_with_derivative(coeffs, z[j])
-                if pv == 0:
-                    continue
-                if dpv == 0:
-                    z[j] += mp.mpf(1) / 997  # deterministic nudge off a stationary point
-                    max_step = mp.inf
-                    continue
-                newton = pv / dpv
-                s = mp.mpc(0)
-                for k in range(d):
-                    if k != j:
-                        s += 1 / (z[j] - z[k])
-                w = newton / (1 - newton * s)
-                z[j] -= w
-                max_step = max(max_step, abs(w))
-            if max_step <= tol * (1 + radius):
-                break
-        else:
-            raise ConvergenceError(
-                f"Aberth iteration did not settle within {budget} sweeps for degree {d}"
-            )
-
-        # quadratic polish to the working-precision floor
-        z = [_newton_polish(coeffs, zj, workprec) for zj in z]
-
-        certificate = mp.mpf(2) ** (-(precision_bits // 2))
-        radii = []
-        for j in range(d):
-            pv, dpv = _eval_with_derivative(coeffs, z[j])
-            err, derr = _horner_error_bounds(coeffs, z[j], workprec)
-            if abs(dpv) <= derr:
-                raise ConvergenceError(
-                    f"p' at root {j} is within rounding noise; multiple or clustered roots"
-                )
-            residual = (abs(pv) + err) / (abs(dpv) - derr)
-            if residual > certificate:
-                raise ConvergenceError(
-                    f"root {j} failed the Newton-residual certificate at {precision_bits} bits"
-                )
-            radii.append(d * residual)
-        for i in range(d):
-            for j in range(i + 1, d):
-                if abs(z[i] - z[j]) <= radii[i] + radii[j]:
-                    raise ConvergenceError(
-                        "certificate disks overlap; multiple or clustered roots"
-                    )
-
-        z.sort(key=lambda r: (r.imag, r.real))
-        return [HPComplex.from_value(r, precision_bits) for r in z]
-
-
-def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -> List[HPComplex]:
-    """All roots of p, sorted by (imaginary, real) part and rounded to
-    precision_bits.
-
-    When p(1-s) = +-p(s), as for every polynomial factor p_n^m, the roots
-    are located on the real-rooted half-polynomial R of `_line_roots` and
-    proven simple and on Re s = 1/2 by the exact sign alternation of R at
-    rational points; no tolerance enters the proof.  Other polynomials,
-    and symmetric ones the proof does not cover (a root off the line, a
-    multiple root, or a locator that does not settle), go to Aberth
-    iteration, whose certificate is the Newton residual
-    |p(root)/p'(root)| <= 2^(-prec/2) with disjoint residual disks; it
-    raises ConvergenceError on multiple or clustered roots."""
-    if p.is_zero:
-        raise DomainError("the zero polynomial has no root set")
-    if p.degree == 0:
-        return []
-    roots = _line_roots(p, precision_bits)
-    return _aberth_roots(p, precision_bits) if roots is None else roots
 
 
 @dataclass(frozen=True)
@@ -300,7 +190,9 @@ class ZeroReport:
     residuals: Tuple[mp.mpf, ...]
     max_deviation: mp.mpf
     precision_bits: int
-    shift_deviation: mp.mpf  # roots re-polished on p(s+1/2) against roots of p, shifted
+    # largest move of a root when its t^2 is re-polished by real Newton on the
+    # half-polynomial R, with p(1/2 + it) = (it)^e R(t^2), and rounded back
+    shift_deviation: mp.mpf
 
     @property
     def certificate_tolerance(self) -> mp.mpf:
@@ -313,9 +205,11 @@ def critical_line_report(n: int, m: int = 0,
 
     The roots come from one `find_roots` call, which proves them simple and
     on the line by exact sign alternation.  The report adds each root's
-    Newton residual on p and a cross-check through the half-shifted
-    polynomial: r - 1/2 is re-polished by unconstrained complex Newton on
-    p(s + 1/2), rounded to precision_bits and shifted back."""
+    Newton residual on p and a cross-check on the half-polynomial R of
+    p(1/2 + it) = (it)^e R(t^2): each root's t^2 is re-polished by real
+    Newton on R, with no deflation, and its square root rounded to
+    precision_bits is compared with t.  A cross-check that does not settle
+    raises ConvergenceError."""
     closed = poly_factor(n, m)
     p = closed.poly
     if p.degree < 1:
@@ -326,8 +220,8 @@ def critical_line_report(n: int, m: int = 0,
         # Newton residual |p/p'|: invariant under coefficient scaling, so it
         # stays comparable across n even though the raw coefficients explode.
         coeffs = _monic_coeffs(p, workprec)
-        shifted = _monic_coeffs(
-            poly_affine_substitute(p, Fraction(1), Fraction(1, 2)), workprec)
+        half_coeffs = [rational_to_mpf(c, workprec)
+                       for c in _half_polynomial(p)[1].coefficients]
         half = mp.mpf(1) / 2
         residuals = []
         shift_deviation = mp.mpf(0)
@@ -335,9 +229,14 @@ def critical_line_report(n: int, m: int = 0,
             z = r.to_mpc()
             pv, dpv = _eval_with_derivative(coeffs, z)
             residuals.append(abs(pv / dpv) if dpv != 0 else abs(pv))
-            moved = HPComplex.from_value(
-                _newton_polish(shifted, z - half, workprec), precision_bits)
-            shift_deviation = max(shift_deviation, abs(moved.to_mpc() + half - z))
+            if not r.imag > 0:
+                continue  # 1/2 - it has the t^2 of 1/2 + it; 1/2 is exact
+            y = _newton_maehly(half_coeffs, r.imag ** 2, [], workprec)
+            if y is None or not y > 0:
+                raise ConvergenceError(
+                    f"the cross-check on R did not settle at t = {mp.nstr(r.imag, 15)}")
+            moved = HPComplex(Fraction(1, 2), mp.sqrt(y), precision_bits)
+            shift_deviation = max(shift_deviation, abs(moved.imag - r.imag))
         residuals = tuple(residuals)
         max_deviation = max(abs(r.to_mpc().real - half) for r in roots)
     return ZeroReport(

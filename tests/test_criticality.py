@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from legmellin import criticality
 from legmellin.criticality import (
     HahnParams,
-    _aberth_roots,
-    _line_roots,
     critical_line_report,
     difference_equation_residual,
     difference_equation_symbolic,
@@ -56,7 +54,7 @@ def test_single_root_is_exactly_half():
 
 
 def test_certificates_and_deviation():
-    for n in (6, 11, 20):
+    for n in (6, 11, 20, 200):
         report = critical_line_report(n, 0, 256)
         assert report.max_deviation <= mp.mpf(10) ** -25
         assert report.shift_deviation <= report.certificate_tolerance
@@ -79,29 +77,28 @@ def test_constant_factor_rejected():
 
 
 def test_find_roots_on_plain_polynomial():
-    # (s - 1/2)(s - 3/2) expanded
+    # (s - 1/2)(s - 3/2) expanded: p(1 - s) is not +-p(s)
     p = RationalPolynomial([Fraction(3, 4), -2, 1])
-    roots = sorted(find_roots(p, 192), key=lambda r: r.to_mpc().real)
-    with mp.workprec(256):
-        assert abs(roots[0].to_mpc() - mp.mpf(1) / 2) < mp.mpf(2) ** -180
-        assert abs(roots[1].to_mpc() - mp.mpf(3) / 2) < mp.mpf(2) ** -180
+    with pytest.raises(DomainError):
+        find_roots(p, 192)
 
 
-def test_line_route_matches_aberth():
-    # The one allowed difference: Aberth may leave a sub-ulp imaginary part
-    # on the exact root s = 1/2, which the line route returns as exactly 1/2.
+def test_line_route_matches_polyroots():
+    # mpmath's polyroots (Durand-Kerner) is an oracle independent of the
+    # line route; it runs 64 bits above the precision asked for
     for bits in (256, 512):
-        tiny = mp.mpf(2) ** -bits
         for m in (0, 2, 4):
             for n in range(m + 2, 41):
                 p = poly_factor(n, m).poly
-                proved = _line_roots(p, bits)
-                assert proved is not None, (n, m, bits)
-                assert find_roots(p, bits) == proved
-                for got, want in zip(proved, _aberth_roots(p, bits)):
-                    if got != want:
-                        assert got == Fraction(1, 2), (n, m, bits)
-                        assert want.real == got.real and abs(want.imag) < tiny
+                proved = find_roots(p, bits)
+                with mp.workprec(bits + 64):
+                    want = sorted(mp.polyroots(
+                        [mp.mpf(c.numerator) / c.denominator for c in reversed(p.coefficients)],
+                        maxsteps=200, extraprec=bits), key=lambda z: mp.im(z))
+                    assert len(want) == len(proved), (n, m, bits)
+                    for got, oracle in zip(proved, want):
+                        z = got.to_mpc()
+                        assert abs(z - oracle) <= mp.mpf(2) ** (2 - bits) * abs(z), (n, m, bits)
 
 
 def test_report_makes_one_root_solve(monkeypatch):
@@ -118,45 +115,55 @@ def test_report_makes_one_root_solve(monkeypatch):
     assert report.shift_deviation == 0
 
 
+def test_report_raises_when_the_cross_check_does_not_settle(monkeypatch):
+    # the roots are proven first; only the real Newton re-polish on R fails
+    solve = criticality.find_roots
+
+    def solve_then_break_newton(p, precision_bits):
+        roots = solve(p, precision_bits)
+        monkeypatch.setattr(criticality, "_newton_maehly", lambda *args: None)
+        return roots
+
+    monkeypatch.setattr(criticality, "find_roots", solve_then_break_newton)
+    with pytest.raises(ConvergenceError):
+        critical_line_report(13, 0, 256)
+
+
 def test_symmetric_roots_off_the_line_fall_back():
-    # (s - 2)(s + 1) = s^2 - s - 2 satisfies p(1 - s) = p(s)
+    # (s - 2)(s + 1) = s^2 - s - 2 satisfies p(1 - s) = p(s), but its roots
+    # are real: R(y) = -y - 9/4 has no positive root
     p = RationalPolynomial([-2, -1, 1])
-    assert _line_roots(p, 192) is None
-    roots = find_roots(p, 192)
-    assert [r.imag for r in roots] == [0, 0]
-    with mp.workprec(256):
-        assert abs(roots[0].real + 1) < mp.mpf(2) ** -180
-        assert abs(roots[1].real - 2) < mp.mpf(2) ** -180
+    with pytest.raises(ConvergenceError):
+        find_roots(p, 192)
     # p(1/2 + x) = (x^2 + 9)^2 + 1/1000: R(y) = (y - 9)^2 + 1/1000 has no
     # real root, though the locator returns two positive values for it; the
-    # sign proof rejects them, and every root sits about 0.0053 off the line
+    # sign proof rejects them, as every root sits about 0.0053 off the line
     p = poly_affine_substitute(
         RationalPolynomial([Fraction(81001, 1000), 0, 18, 0, 1]), 1, Fraction(-1, 2))
-    assert _line_roots(p, 192) is None
-    with mp.workprec(256):
-        assert all(abs(r.real - mp.mpf(1) / 2) > mp.mpf("0.005") for r in find_roots(p, 192))
+    with pytest.raises(ConvergenceError):
+        find_roots(p, 192)
 
 
 def test_double_root_on_the_line_refused():
     # (s - 1/2)^2 (s^2 - s + 5/4)
     p = RationalPolynomial([Fraction(1, 4), -1, 1]) * RationalPolynomial([Fraction(5, 4), -1, 1])
-    assert _line_roots(p, 256) is None
-    assert _line_roots(p, 512) is None
+    with pytest.raises(ConvergenceError):
+        find_roots(p, 256)
     with pytest.raises(ConvergenceError):
         find_roots(p, 512)
 
 
 @pytest.mark.parametrize("bits", [128, 192, 256])
-@pytest.mark.parametrize("p", [
-    # (s - 1/2)^2 (s^2 - s + 5/4): symmetric, so the exact route declines first
-    RationalPolynomial([Fraction(1, 4), -1, 1]) * RationalPolynomial([Fraction(5, 4), -1, 1]),
-    # (s - 2)^2 (s + 3): no symmetry, straight to Aberth
-    RationalPolynomial([-2, 1]) * RationalPolynomial([-2, 1]) * RationalPolynomial([3, 1]),
+@pytest.mark.parametrize("p,error", [
+    # (s - 1/2)^2 (s^2 - s + 5/4): symmetric, so only the exact proof can refuse it
+    (RationalPolynomial([Fraction(1, 4), -1, 1]) * RationalPolynomial([Fraction(5, 4), -1, 1]),
+     ConvergenceError),
+    # (s - 2)^2 (s + 3): no symmetry, outside the domain
+    (RationalPolynomial([-2, 1]) * RationalPolynomial([-2, 1]) * RationalPolynomial([3, 1]),
+     DomainError),
 ], ids=["on-the-line", "real"])
-def test_aberth_refuses_a_double_root(p, bits):
-    # the two copies of the double root settle about the square root of the
-    # working precision apart, where the computed p is rounding noise
-    with pytest.raises(ConvergenceError):
+def test_find_roots_refuses_a_double_root(p, error, bits):
+    with pytest.raises(error):
         find_roots(p, bits)
 
 
@@ -170,7 +177,6 @@ def test_line_roots_of_planted_heights(heights, centre, bits):
     for y in heights:
         p = p * RationalPolynomial([Fraction(1, 4) + y, -1, 1])
     roots = find_roots(p, bits)
-    assert _line_roots(p, bits) == roots
     assert len(roots) == p.degree
     assert all(r.real == Fraction(1, 2) for r in roots)
     with mp.workprec(bits + 64):

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from legmellin import fracpart
-from legmellin.errors import DomainError, PoleError
+from legmellin.errors import ConvergenceError, DomainError, PoleError
 from legmellin.fracpart import (
     FracIntegralSpec,
     SublemmaState,
@@ -432,3 +432,69 @@ def test_transform_domains():
         fermi_bose_transform(0, TransformKind.FERMI, Fraction(2), 128)
     with pytest.raises(DomainError):
         fermi_bose_transform(2, "fermi", Fraction(2), 128)
+
+
+def _panel_arguments(j):
+    """An integer, a fractional, a complex and a far-complex s for j; each
+    has Re s > j - 1, the direct kind's half-plane."""
+    return (j + 1, Fraction(2 * j + 1, 2), GaussianRational(j + 1, 2),
+            GaussianRational(Fraction(2 * j - 1, 2), -45), GaussianRational(j + 2, 40))
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+@pytest.mark.parametrize("kind", list(TransformKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_transform_panel_series_equals_closed(j, kind, prec):
+    for s in _panel_arguments(j):
+        result = fermi_bose_transform(j, kind, s, prec)
+        with mp.workprec(prec + 64):
+            closed = result.closed_value.to_mpc()
+            err = abs(result.series_value.to_mpc() - closed)
+            assert err <= mp.mpf(2) ** (8 - prec) * abs(closed), (s, err)
+
+
+def test_transforms_do_not_call_nsum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.nsum called")
+
+    monkeypatch.setattr(mp.mp, "nsum", refuse)
+    for kind in TransformKind:
+        for s in (Fraction(7, 2), GaussianRational(3, 2), GaussianRational(3, 40)):
+            result = fermi_bose_transform(2, kind, s, 128)
+            assert result.difference <= mp.mpf(2) ** -120 * abs(result.closed_value.to_mpc())
+
+
+def test_transform_refusals_are_typed(monkeypatch):
+    # a height past the term budget is refused before any summing, and so is
+    # a direct sum whose stated remainder misses the tolerance
+    for kind in TransformKind:
+        with pytest.raises(ConvergenceError):
+            fermi_bose_transform(1, kind, GaussianRational(3, 300_000), 128)
+    monkeypatch.setattr(fracpart, "_euler_maclaurin_tail",
+                        lambda *args: (mp.mpc(0), mp.mpf(2) ** -100))
+    with pytest.raises(ConvergenceError):
+        fermi_bose_transform(1, TransformKind.BOSE, 3, 128)
+
+
+@pytest.mark.parametrize("j, sigma, start, order", [
+    (1, 3, 4, 3),
+    (2, mp.mpf(7) / 2, 20, 8),
+    (3, mp.mpc(5, 2), 40, 6),
+    (4, mp.mpf(9) / 2, 25, 8),
+    (4, mp.mpc(6, -40), 40, 10),
+    (2, mp.mpc(3, 1), 12, 10),
+])
+def test_euler_maclaurin_remainder_bounds_the_error(j, sigma, start, order):
+    # the tail sum_{y >= start} of sum_q c_q y^(q - sigma) at 128 bits,
+    # against the same tail as Hurwitz zetas at twice the precision
+    def coeffs():
+        return [mp.mpf(e) / math.factorial(j - 1) for e in fracpart._rising_factorial_coeffs(j)]
+
+    with mp.workprec(128):
+        value, bound = fracpart._euler_maclaurin_tail(coeffs(), mp.mpc(sigma), start, order)
+    with mp.workprec(256):
+        exact = mp.fsum(c * mp.zeta(mp.mpc(sigma) - q, start) for q, c in enumerate(coeffs()))
+        err = abs(value - exact)
+        assert mp.mpf(2) ** -100 < bound
+        assert err <= bound
+        assert bound <= 2 ** 6 * err  # a bound, not a blanket

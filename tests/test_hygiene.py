@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, and every
 name it defines is referenced: a private one in `src/`, a public function,
-class or method in `src/`, `tests/` or `bench/`."""
+class or method in `src/`, `tests/` or `bench/`.  No library module names
+mpmath's `nsum`."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,10 @@ def test_module_public_names_are_referenced(path):
     unused = {n for n in _public_definitions(ast.parse(path.read_text()))
               if n.rpartition(".")[2] not in referenced}
     assert sorted(unused) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_does_not_use_nsum(path):
+    # mpmath's nsum differentiates numerically and integrates its tail by
+    # quadrature; the series routes sum with stated bounds instead
+    assert "nsum" not in path.read_text()

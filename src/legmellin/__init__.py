@@ -1,5 +1,8 @@
 """Mellin transforms of Legendre and Ferrers functions, their critical-line
-zeros, and fractional-part integral identities, at arbitrary precision."""
+zeros, and fractional-part integral identities, at arbitrary precision.
+
+The result types the functions return (ZeroReport, FermiBoseResult, ...)
+are not re-exported here; they are reached through their own modules."""
 
 from .errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from .mpcore import (
@@ -11,7 +14,7 @@ from .mpcore import (
     as_rational,
     rational_to_mpf,
 )
-from .quadrature import QuadratureResult, tanh_sinh
+from .quadrature import tanh_sinh
 from .specfun import (
     HypergeometricSpec,
     TransformId,
@@ -32,10 +35,6 @@ from .specfun import (
     threeF2_transform_check,
 )
 from .mellin import (
-    GammaPrefactor,
-    GenfunComparison,
-    MellinClosedForm,
-    MellinQuadratureResult,
     RepVariant,
     genfun,
     mellin_closed,
@@ -53,7 +52,6 @@ from .mellin import (
 )
 from .criticality import (
     HahnParams,
-    ZeroReport,
     critical_line_report,
     difference_equation_residual,
     difference_equation_symbolic,
@@ -67,14 +65,9 @@ from .criticality import (
     hahn_proportionality,
 )
 from .fracpart import (
-    FermiBoseResult,
     FracIntegralSpec,
-    FracOracleResult,
-    OracleQuadrature,
-    PairIntegralReport,
     SublemmaState,
     TransformKind,
-    ZetaCombination,
     alpha_one_limit,
     fermi_bose_transform,
     frac_basic,
@@ -93,7 +86,6 @@ from .fracpart import (
 )
 from .suites import (
     SUITE_NAMES,
-    CaseResult,
     OutputFormat,
     RunConfig,
     VerifySuiteResult,
@@ -108,34 +100,30 @@ __all__ = [
     "ConvergenceError", "DivergenceError", "DomainError", "PoleError",
     "DEFAULT_PRECISION", "MIN_PRECISION", "GaussianRational", "HPComplex",
     "RationalPolynomial", "as_rational", "rational_to_mpf",
-    "QuadratureResult", "tanh_sinh",
+    "tanh_sinh",
     "HypergeometricSpec", "TransformId", "double_factorial", "ferrers",
     "gamma", "hurwitz_zeta", "hyp2f1", "hyp3f2", "hyp_pfq",
     "hyp_terminating_exact", "is_nonpositive_integer", "kummer_2f1_residual",
     "pochhammer_rational", "polygamma", "reciprocal_gamma", "riemann_zeta",
     "threeF2_transform_check",
-    "GammaPrefactor", "GenfunComparison", "MellinClosedForm",
-    "MellinQuadratureResult", "RepVariant", "genfun", "mellin_closed",
-    "mellin_odd_order_exact", "mellin_quadrature",
-    "mellin_recursion_reference", "mellin_rep", "order_one_exact",
-    "order_one_rationality_check", "order_one_reference", "poly_factor",
-    "special_value_at_1", "special_value_at_1_rational",
+    "RepVariant", "genfun", "mellin_closed", "mellin_odd_order_exact",
+    "mellin_quadrature", "mellin_recursion_reference", "mellin_rep",
+    "order_one_exact", "order_one_rationality_check", "order_one_reference",
+    "poly_factor", "special_value_at_1", "special_value_at_1_rational",
     "variant_is_quadrature",
-    "HahnParams", "ZeroReport", "critical_line_report",
+    "HahnParams", "critical_line_report",
     "difference_equation_residual", "difference_equation_symbolic",
     "difference_equation_terms", "find_roots", "functional_equation_check",
     "functional_equation_sign", "hahn_constant", "hahn_eval",
     "hahn_eval_exact", "hahn_proportionality",
-    "FermiBoseResult", "FracIntegralSpec", "FracOracleResult",
-    "OracleQuadrature", "PairIntegralReport", "SublemmaState",
-    "TransformKind", "ZetaCombination", "alpha_one_limit",
+    "FracIntegralSpec", "SublemmaState", "TransformKind", "alpha_one_limit",
     "fermi_bose_transform", "frac_basic", "frac_general",
     "frac_int_moments", "frac_pair_integral", "frac_weight_quadrature",
     "moment_boundary_value", "moment_combination", "numeric_fracpart_oracle",
     "pair_integral_quadrature", "pair_integral_report",
     "richardson_extrapolate", "sublemma_sum", "sublemma_sum_series",
-    "SUITE_NAMES", "CaseResult", "OutputFormat", "RunConfig",
-    "VerifySuiteResult", "appendix_parameter_tuples", "run_suite",
+    "SUITE_NAMES", "OutputFormat", "RunConfig", "VerifySuiteResult",
+    "appendix_parameter_tuples", "run_suite",
     "main", "run_command",
     "__version__",
 ]

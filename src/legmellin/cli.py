@@ -297,11 +297,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # table
 
+def _factor_rows(args: argparse.Namespace, low: int) -> range:
+    """n from max(start, m + low) to stop: the rows where p_n^m exists
+    (low = 0) or has roots (low = 2, its degree being (n - m) // 2).  A
+    negative or odd m is refused as poly_factor refuses it."""
+    poly_factor(args.m, args.m)
+    return range(max(args.start, args.m + low), args.stop + 1)
+
+
 def _table_polys(args: argparse.Namespace, prec: int) -> List[Dict[str, object]]:
     return [
         {"n": n, "m": args.m,
          "coeffs": [str(c) for c in poly_factor(n, args.m).poly.coefficients]}
-        for n in range(args.start, args.stop + 1)
+        for n in _factor_rows(args, 0)
     ]
 
 
@@ -309,7 +317,7 @@ def _table_zeros(args: argparse.Namespace, prec: int) -> List[Dict[str, object]]
     digits = _digits(prec)
     rows: List[Dict[str, object]] = []
     half = Fraction(1, 2)
-    for n in range(args.start, args.stop + 1):
+    for n in _factor_rows(args, 2):
         report = critical_line_report(n, args.m, prec)
         for root, residual in zip(report.roots, report.residuals):
             with mp.workprec(prec):

@@ -38,7 +38,6 @@ from .mpcore import (
     RationalPolynomial,
     exact_or_none,
     poly_affine_substitute,
-    poly_structural_equal,
     rational_to_mpf,
     to_mpc,
 )
@@ -57,12 +56,6 @@ def _eval_with_derivative(coeffs, z):
         dp = dp * z + p
         p = p * z + c
     return p, dp
-
-
-def _monic_coeffs(p: RationalPolynomial, workprec: int) -> List[mp.mpc]:
-    with mp.workprec(workprec):
-        vals = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in p.coefficients]
-        return [mp.mpc(c / vals[-1]) for c in vals]
 
 
 def _half_polynomial(p: RationalPolynomial) -> Tuple[int, RationalPolynomial]:
@@ -217,9 +210,11 @@ def critical_line_report(n: int, m: int = 0,
     roots = find_roots(p, precision_bits)
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
-        # Newton residual |p/p'|: invariant under coefficient scaling, so it
-        # stays comparable across n even though the raw coefficients explode.
-        coeffs = _monic_coeffs(p, workprec)
+        # Newton residual |p/p'| of the monic p: invariant under coefficient
+        # scaling, so it stays comparable across n even though the raw
+        # coefficients explode.
+        vals = [rational_to_mpf(c, workprec) for c in p.coefficients]
+        coeffs = [c / vals[-1] for c in vals]
         half_coeffs = [rational_to_mpf(c, workprec)
                        for c in _half_polynomial(p)[1].coefficients]
         half = mp.mpf(1) / 2
@@ -261,7 +256,7 @@ def functional_equation_check(n: int, m: int = 0) -> bool:
     p = poly_factor(n, m).poly
     reflected = poly_affine_substitute(p, Fraction(-1), Fraction(1))
     sign = functional_equation_sign(n, m)
-    return poly_structural_equal(reflected, p.scale(Fraction(sign)))
+    return reflected == p.scale(Fraction(sign))
 
 
 # ---------------------------------------------------------------------------

@@ -672,8 +672,6 @@ def _fermi_closed_two(z, sr, workprec) -> mp.mpc:
 def _fermi_closed_three(z, sr, workprec) -> mp.mpc:
     with mp.workprec(workprec):
         two = mp.mpf(2)
-        if sr == 1:
-            return (1 - 6 * mp.log(2) + 2 * mp.zeta(2)) / 4
         if sr == 2:
             bracket = 4 * mp.log(2) - 6 * mp.zeta(2) + 6 * mp.zeta(3)
             return mp.gamma(3) * bracket / 8
@@ -694,8 +692,6 @@ def _transform_closed(kind: TransformKind, j: int, z, sr, workprec) -> mp.mpc:
         coeffs = _rising_factorial_coeffs(j)
         total = mp.mpc(0)
         for q, e_q in enumerate(coeffs):
-            if e_q == 0:
-                continue
             sigma = z + 1 - q
             if kind is TransformKind.BOSE:
                 total += e_q * mp.zeta(sigma, j)
@@ -746,7 +742,8 @@ def fermi_bose_transform(
     plus `_euler_maclaurin_tail`, and a stated remainder above
     2^-(precision_bits + GUARD_BITS) of the sum raises ConvergenceError.
     j = 2, 3 alternating use the explicit two/three-term
-    closed forms, with their removable values at s = 1 and s = 2.
+    closed forms, with their removable values at s = 1 for j = 2 and
+    s = 2 for j = 3.
     """
     if not isinstance(j, int) or j < 1:
         raise DomainError("j must be a positive integer")

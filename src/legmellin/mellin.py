@@ -36,7 +36,7 @@ from .specfun import (
     ferrers,
     hyp_pfq,
     pochhammer_rational,
-    terminating_series,
+    terminating_coefficients,
 )
 
 
@@ -51,47 +51,21 @@ def _require_right_half_plane(s, workprec: int) -> mp.mpc:
 # exact polynomial factors
 
 @dataclass(frozen=True)
-class GammaPrefactor:
-    """sqrt(pi)^sqrt_pi_power * 2^two_power_exponent
-    * Gamma((s+numerator_shift)/2) / Gamma((s+denominator_shift)/2).
-
-    numerator_shift duplicates epsilon; both are kept because the parity
-    flag is meaningful on its own (it drives the functional equation).
-    """
-
-    sqrt_pi_power: int
-    two_power_exponent: int
-    epsilon: int
-    numerator_shift: int
-    denominator_shift: int
-
-    def __post_init__(self):
-        if self.epsilon not in (0, 1):
-            raise DomainError("epsilon must be 0 or 1")
-
-    def evaluate(self, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-        workprec = precision_bits + GUARD_BITS
-        with mp.workprec(workprec):
-            z = to_mpc(s, workprec)
-            value = (
-                mp.sqrt(mp.pi) ** self.sqrt_pi_power
-                * mp.power(2, self.two_power_exponent)
-                * mp.gamma((z + self.numerator_shift) / 2)
-                * mp.rgamma((z + self.denominator_shift) / 2)
-            )
-        return HPComplex.from_value(value, precision_bits)
-
-
-@dataclass(frozen=True)
 class MellinClosedForm:
-    prefactor: GammaPrefactor
+    """p_n^m with its prefactor sqrt(pi) 2^t Gamma((s+eps)/2) / Gamma((s+n+1)/2),
+    where t = _two_power(n, m) and eps = n mod 2."""
+
     poly: RationalPolynomial
     n: int
     m: int
 
     def evaluate(self, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-        pref = self.prefactor.evaluate(s, precision_bits + 8)
-        sval = pref.to_mpc()
+        n, prefactor_bits = self.n, precision_bits + 8
+        with mp.workprec(prefactor_bits + GUARD_BITS):
+            z = to_mpc(s, prefactor_bits + GUARD_BITS)
+            pref = (mp.sqrt(mp.pi) * mp.power(2, _two_power(n, self.m))
+                    * mp.gamma((z + n % 2) / 2) * mp.rgamma((z + (n + 1)) / 2))
+        sval = HPComplex.from_value(pref, prefactor_bits).to_mpc()
         with mp.workprec(precision_bits + GUARD_BITS):
             z = to_mpc(s, precision_bits + GUARD_BITS)
             value = sval * self.poly.eval_mpc(z, precision_bits + 8)
@@ -143,8 +117,6 @@ def _poly_int(n: int, m: int) -> _PolyInt:
         while num and num[-1] == 0:
             num.pop()
         g = gcd(den, *num)
-        if den < 0:
-            g = -g
         current: _PolyInt = (tuple(c // g for c in num), den // g)
         _POLY_CACHE[(k, m)] = current
         prev2, prev1 = prev1, current
@@ -180,14 +152,7 @@ def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
         raise DomainError(f"order m = {m} exceeds degree n = {n}")
     coeffs, den = _poly_int(n, m)
     poly = RationalPolynomial([Fraction(c, den) for c in _monomial(coeffs)])
-    prefactor = GammaPrefactor(
-        sqrt_pi_power=1,
-        two_power_exponent=_two_power(n, m),
-        epsilon=n % 2,
-        numerator_shift=n % 2,
-        denominator_shift=n + 1,
-    )
-    return MellinClosedForm(prefactor=prefactor, poly=poly, n=n, m=m)
+    return MellinClosedForm(poly=poly, n=n, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +528,8 @@ def mellin_rep(
             pref = (mp.rgamma(mp.mpf(1) / 2) * mp.gamma((n + z) / 2)
                     * mp.rgamma((n + z + 1) / 2))
             # the 2F1 terminates for every n, so argument 1 is harmless
-            poly = _fixed_point_poly(terminating_series(
-                (_frac(1 - n, 2), _frac(-n, 2)), (1 - (sq + n) / 2,),
-                precision_bits).coefficients())
+            poly = _fixed_point_poly(terminating_coefficients(
+                (_frac(1 - n, 2), _frac(-n, 2)), (1 - (sq + n) / 2,), precision_bits))
 
             def integrand(phi, dist_a, dist_b):
                 return poly(mp.cos(phi) ** 2)

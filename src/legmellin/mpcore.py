@@ -417,30 +417,6 @@ class RationalPolynomial:
                 acc = acc * z + rational_to_mpf(c, precision_bits + 16)
         return acc
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            coeff = "" if (mag == 1 and i > 0) else str(mag)
-            if i == 0:
-                term = coeff
-            elif i == 1:
-                term = f"{coeff}s" if coeff else "s"
-            else:
-                term = f"{coeff}s^{i}" if coeff else f"s^{i}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, term))
-        first_sign, first_term = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_term
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        return text
-
     def __repr__(self):
         return f"RationalPolynomial({[str(c) for c in self.coefficients]})"
 
@@ -448,22 +424,9 @@ class RationalPolynomial:
 def poly_affine_substitute(
     p: RationalPolynomial, a: RationalLike, b: RationalLike
 ) -> RationalPolynomial:
-    """Exact p(a*s + b).  a = 0 collapses to the constant p(b)."""
+    """Exact p(a*s + b)."""
     a, b = as_rational(a), as_rational(b)
-    if a == 0:
-        return RationalPolynomial((p.eval_rational(b),))
     acc = RationalPolynomial.zero()
     for c in reversed(p.coefficients):
         acc = acc.times_linear(a, b) + RationalPolynomial((c,))
     return acc
-
-
-def poly_eval_complex(p: RationalPolynomial, s: HPComplex) -> HPComplex:
-    """Horner-scheme value of p at s, at the precision carried by s."""
-    prec = s.precision_bits
-    return HPComplex.from_value(p.eval_mpc(s.to_mpc(), prec), prec)
-
-
-def poly_structural_equal(p: RationalPolynomial, r: RationalPolynomial) -> bool:
-    """True iff the normalized coefficient sequences are identical."""
-    return p.coefficients == r.coefficients

@@ -297,79 +297,55 @@ def _sum_ratios(ratios, z) -> mp.mpc:
     return total
 
 
-class _TerminatingSeries:
-    """z -> HPComplex for one terminating pFq, built by terminating_series.
+def _pair_ratios(nums, dens, n_term: int, workprec: int) -> list:
+    """_term_ratios at workprec of (parameter, exact reading) pairs."""
+    with mp.workprec(workprec):
+        return _term_ratios([to_mpc(a, workprec) for a, _ in nums],
+                            [to_mpc(b, workprec) for b, _ in dens], n_term)
 
-    The parameters are read, cancelled and checked once.  An exact z with
-    exact parameters is summed exactly, once per distinct z; any other z
-    sums term ratios built on the first such call.
+
+def _terminating_value(nums, dens, n_term: int, z, zq: Optional[GaussianRational],
+                       precision_bits: int) -> HPComplex:
+    """The terminating pFq of the cancelled (parameter, exact reading) pairs
+    at z, whose exact reading is zq: summed exactly when z and every
+    parameter are exact, else by term ratios at the working precision."""
+    exact_nums, exact_dens = [g for _, g in nums], [g for _, g in dens]
+    if zq is not None and all(g is not None for g in exact_nums + exact_dens):
+        return hyp_terminating_exact(HypergeometricSpec(
+            exact_nums, exact_dens, zq)).to_hpcomplex(precision_bits)
+    workprec = precision_bits + GUARD_BITS
+    ratios = _pair_ratios(nums, dens, n_term, workprec)
+    with mp.workprec(workprec):
+        total = _sum_ratios(ratios, to_mpc(z, workprec))
+    return HPComplex.from_value(total, precision_bits)
+
+
+def terminating_coefficients(nums: Sequence, dens: Sequence,
+                             precision_bits: int = DEFAULT_PRECISION) -> list:
+    """c_0..c_N with pFq(nums; dens; z) = sum c_k z^k, as mpcs at
+    precision_bits + GUARD_BITS: exact and rounded once when the parameters
+    are exact, else running products of the term ratios.
+
+    Parameters cancel as in hyp_pfq.  Raises DomainError when no numerator
+    parameter is a nonpositive integer, PoleError when a denominator one
+    ends first.
     """
-
-    def __init__(self, nums, dens, precision_bits: int):
-        # nums, dens: (parameter, exact reading) pairs, already cancelled
-        self.n_term = _termination_index(g for _, g in nums)
-        if self.n_term is None:
-            raise DomainError("not a terminating series")
-        _check_denominator_poles(dens, self.n_term)
-        self.nums, self.dens = nums, dens
-        self.exact = all(g is not None for _, g in nums + dens)
-        self.precision_bits = precision_bits
-        self.exact_values = {}
-
-    @cached_property
-    def ratios(self) -> list:
-        """The term ratios at the working precision, built on first use."""
-        workprec = self.precision_bits + GUARD_BITS
-        with mp.workprec(workprec):
-            return _term_ratios([to_mpc(a, workprec) for a, _ in self.nums],
-                                [to_mpc(b, workprec) for b, _ in self.dens],
-                                self.n_term)
-
-    def __call__(self, z) -> HPComplex:
-        return self.at(z, exact_or_none(z) if self.exact else None)
-
-    def at(self, z, zq: Optional[GaussianRational]) -> HPComplex:
-        """The value at z, whose exact reading zq is already known."""
-        if self.exact and zq is not None:
-            value = self.exact_values.get(zq)
-            if value is None:
-                value = hyp_terminating_exact(HypergeometricSpec(
-                    [g for _, g in self.nums], [g for _, g in self.dens], zq)
-                ).to_hpcomplex(self.precision_bits)
-                self.exact_values[zq] = value
-            return value
-        workprec = self.precision_bits + GUARD_BITS
-        with mp.workprec(workprec):
-            total = _sum_ratios(self.ratios, to_mpc(z, workprec))
-        return HPComplex.from_value(total, self.precision_bits)
-
-    def coefficients(self) -> list:
-        """c_0..c_N with value(z) = sum c_k z^k, as mpcs at the working
-        precision: exact and rounded once when the parameters are exact,
-        else running products of the term ratios."""
-        workprec = self.precision_bits + GUARD_BITS
-        if self.exact:
-            return [c.to_mpc(workprec) for c in _exact_coefficients(
-                [g for _, g in self.nums], [g for _, g in self.dens], self.n_term)]
-        with mp.workprec(workprec):
-            out = [mp.mpc(1)]
-            for k, ratio in enumerate(self.ratios):
-                out.append(out[-1] * ratio / (k + 1))
-        return out
-
-
-def terminating_series(nums: Sequence, dens: Sequence,
-                       precision_bits: int = DEFAULT_PRECISION) -> _TerminatingSeries:
-    """The terminating pFq(nums; dens; z) as a function of z alone.
-
-    Each value equals hyp_pfq(HypergeometricSpec(nums, dens, z),
-    precision_bits) bit for bit; the parameter work is done once, not once
-    per z.  Raises DomainError when no numerator parameter is a
-    nonpositive integer, PoleError when a denominator one ends first.
-    """
-    return _TerminatingSeries(*_cancel_pairs([(a, exact_or_none(a)) for a in nums],
-                                             [(b, exact_or_none(b)) for b in dens]),
-                              precision_bits)
+    nums, dens = _cancel_pairs([(a, exact_or_none(a)) for a in nums],
+                               [(b, exact_or_none(b)) for b in dens])
+    n_term = _termination_index(g for _, g in nums)
+    if n_term is None:
+        raise DomainError("not a terminating series")
+    _check_denominator_poles(dens, n_term)
+    workprec = precision_bits + GUARD_BITS
+    if all(g is not None for _, g in nums + dens):
+        return [c.to_mpc(workprec) for c in _exact_coefficients(
+            [g for _, g in nums], [g for _, g in dens], n_term)]
+    ratios = _pair_ratios(nums, dens, n_term, workprec)
+    with mp.workprec(workprec):
+        out = [mp.mpc(1)]
+        for k, ratio in enumerate(ratios):
+            out.append(out[-1] * ratio / (k + 1))
+    return out
 
 
 def _sum_inside_disk(nums, dens, z, precision_bits: int) -> mp.mpc:
@@ -463,8 +439,8 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
     """Evaluate a pFq request.
 
     Strategy order: cancel matching parameters, except a nonpositive
-    integer pair; terminating series through terminating_series (exact
-    when inputs are exact); |z| < 1 direct with a geometric tail bound;
+    integer pair; terminating series summed term by term (exact when
+    inputs are exact); |z| < 1 direct with a geometric tail bound;
     z = -1 for 2F1 via Pfaff to argument 1/2; z = 1 by Gauss (2F1) or the
     unit-argument engine when the convergence excess allows, with a single
     A1 excess-raise attempted in the marginal band.  Anything else is an
@@ -472,9 +448,11 @@ def hyp_pfq(spec: HypergeometricSpec, precision_bits: int = DEFAULT_PRECISION) -
     """
     nums, dens = _cancel_pairs(zip(spec.numerator_params, spec.exact[0]),
                                zip(spec.denominator_params, spec.exact[1]))
-    if _termination_index(g for _, g in nums) is not None:
-        return _TerminatingSeries(nums, dens, precision_bits).at(spec.argument, spec.exact[2])
-    _check_denominator_poles(dens, None)
+    n_term = _termination_index(g for _, g in nums)
+    _check_denominator_poles(dens, n_term)
+    if n_term is not None:
+        return _terminating_value(nums, dens, n_term, spec.argument, spec.exact[2],
+                                  precision_bits)
 
     with mp.workprec(precision_bits + GUARD_BITS):
         z = to_mpc(spec.argument, precision_bits + GUARD_BITS)

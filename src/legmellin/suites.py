@@ -461,10 +461,7 @@ def _suite_fracpart(config: RunConfig) -> List[CaseResult]:
                 sn = fracpart.sublemma_sum(
                     fracpart.SublemmaState(order, u), prec).to_mpc()
                 if order == 1:
-                    prev = fracpart.sublemma_sum(
-                        fracpart.SublemmaState(1, u), prec).to_mpc()
-                    recur = prev  # order 1 is its own base case
-                    err = mp.mpf(0)
+                    err = mp.mpf(0)  # order 1 is its own base case
                 else:
                     prev = fracpart.sublemma_sum(
                         fracpart.SublemmaState(order - 1, u), prec).to_mpc()

@@ -264,22 +264,21 @@ def test_table_ends_in_a_value_or_exit_two(what, start, stop, m, re_s, im_s, fmt
     code, out, err = _run_quietly([
         "table", f"--what={what}", f"--start={start}", f"--stop={stop}", f"--m={m}",
         f"--s={_complex_text(re_s, im_s)}", f"--format={fmt}", "--precision", str(prec)])
-    # polys need an even m <= n on every row, zeros a degree (n - m) // 2 >= 1,
-    # and transforms Re s > 0 (rows with m > n are exact zeros)
-    valid = 0 <= start <= stop and m >= 0 and {
-        "polys": m % 2 == 0 and m <= start,
-        "zeros": m % 2 == 0 and m + 2 <= start,
-        "transforms": re_s > 0,
-    }[what]
+    # polys and zeros need an even m and print the rows n >= m where p_n^m
+    # exists, or n >= m + 2 where its degree (n - m) // 2 gives it roots;
+    # transforms need Re s > 0 (rows with m > n are exact zeros)
+    valid = 0 <= start <= stop and m >= 0 and (re_s > 0 if what == "transforms"
+                                               else m % 2 == 0)
     if not valid:
         _assert_typed_refusal(code, err)
         return
     assert code == 0, err
     rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
     if what == "zeros":
-        assert len(rows) == sum((n - m) // 2 for n in range(start, stop + 1))
+        assert len(rows) == sum((n - m) // 2 for n in range(max(start, m + 2), stop + 1))
     else:
-        assert [int(row["n"]) for row in rows] == list(range(start, stop + 1))
+        first = max(start, m) if what == "polys" else start
+        assert [int(row["n"]) for row in rows] == list(range(first, stop + 1))
 
 
 def test_verify_pass_exits_zero(capsys):
@@ -326,6 +325,16 @@ def test_verify_zeros_matches_its_golden_transcript(capsys, monkeypatch):
     assert out == (GOLDEN / "verify_zeros.txt").read_bytes().decode("utf-8")
 
 
+def _transcript(capsys, commands):
+    """Each command line and its output, as the golden panels hold them."""
+    parts = []
+    for args in commands:
+        code, out, err = _run(capsys, args)
+        assert (code, err) == (0, "")
+        parts.append("$ legmellin " + " ".join(args) + "\n" + out)
+    return "".join(parts)
+
+
 ZEROS_PANEL = (["--n", "24", "--precision", "512"], ["--n", "40", "--m", "4"],
                ["--n", "60"], ["--n", "120", "--precision", "256"],
                ["--n", "59", "--m", "10", "--precision", "192"])
@@ -335,12 +344,22 @@ def test_zeros_panel_matches_its_golden_transcript(capsys, monkeypatch):
     # each report's roots, residuals and deviations, byte for byte, up to
     # degree 60 and 512 bits
     monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
-    parts = []
-    for args in ZEROS_PANEL:
-        code, out, err = _run(capsys, ["zeros", *args])
-        assert (code, err) == (0, "")
-        parts.append("$ legmellin zeros " + " ".join(args) + "\n" + out)
-    assert "".join(parts) == (GOLDEN / "zeros_panel.txt").read_bytes().decode("utf-8")
+    out = _transcript(capsys, [["zeros", *args] for args in ZEROS_PANEL])
+    assert out == (GOLDEN / "zeros_panel.txt").read_bytes().decode("utf-8")
+
+
+MELLIN_PANEL = [["mellin", "--n", str(n), "--m", str(m), "--s", s, "--precision", "128"]
+                for n in (0, 20, 57, 290) for m in (0, 6)
+                for s in ("3/4", "5/2", "2+3i", "3/2-2i")]
+MELLIN_PANEL.append(["table", "--what", "transforms", "--stop", "30", "--s", "2+3i"])
+
+
+def test_mellin_panel_matches_its_golden_transcript(capsys, monkeypatch):
+    # the closed form sqrt(pi) 2^t p_n^m(s) Gamma((s+eps)/2) / Gamma((s+n+1)/2),
+    # byte for byte, up to degree 290 and at complex s
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    out = _transcript(capsys, MELLIN_PANEL)
+    assert out == (GOLDEN / "mellin_closed_form.txt").read_bytes().decode("utf-8")
 
 
 def test_unknown_suite_exits_two(capsys):
@@ -448,6 +467,25 @@ def test_table_transforms_csv(capsys):
         assert abs(mp.mpf(rows[1][3]) - mp.pi / 2) < mp.mpf(10) ** -20
         assert abs(mp.mpf(rows[2][3]) - 1) < mp.mpf(10) ** -20
         assert abs(mp.mpf(rows[3][3]) - mp.pi / 8) < mp.mpf(10) ** -20
+
+
+def test_table_zeros_starts_at_the_first_factor_with_roots(capsys):
+    # n = 0, 1 have constant factors and so no rows; the default start
+    # reaches them
+    code, out, err = _run(capsys, ["table", "--what", "zeros", "--stop", "4"])
+    assert (code, err) == (0, "")
+    _, later, _ = _run(capsys, ["table", "--what", "zeros", "--start", "2", "--stop", "4"])
+    assert out == later
+    assert [row["n"] for row in csv.DictReader(io.StringIO(out))] == ["2", "3", "4", "4"]
+
+
+def test_table_polys_starts_at_the_order(capsys):
+    code, out, err = _run(capsys, ["table", "--what", "polys", "--m", "2", "--stop", "6",
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [row["n"] for row in rows] == [2, 3, 4, 5, 6]
+    assert rows[0] == {"n": 2, "m": 2, "coeffs": ["3"]}
 
 
 def test_table_range_validation(capsys):

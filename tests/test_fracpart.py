@@ -423,6 +423,30 @@ def test_fermi_complex_argument():
     assert result.difference < mp.mpf(10) ** -30
 
 
+def _series_equals_closed(result, prec):
+    with mp.workprec(prec + 64):
+        closed = result.closed_value.to_mpc()
+        return abs(result.series_value.to_mpc() - closed) <= mp.mpf(2) ** (8 - prec) * abs(closed)
+
+
+def test_fermi_j2_at_s_one_takes_its_removable_value():
+    result = fermi_bose_transform(2, TransformKind.FERMI, 1, 128)
+    with mp.workprec(192):
+        assert _near(result.closed_value, mp.zeta(2) / 2 - mp.log(2), 128, slack=8)
+    assert _series_equals_closed(result, 128)
+
+
+def test_general_alternating_route_at_sigma_one(monkeypatch):
+    # j = 4, s = 3 puts sigma = s + 1 - q at 1 for q = 3, where the two
+    # Hurwitz poles of the alternating sum cancel into digamma values
+    calls = []
+    digamma = fracpart.mp.digamma
+    monkeypatch.setattr(fracpart.mp, "digamma", lambda x: calls.append(x) or digamma(x))
+    result = fermi_bose_transform(4, TransformKind.FERMI, 3, 128)
+    assert len(calls) == 2
+    assert _series_equals_closed(result, 128)
+
+
 def test_transform_domains():
     with pytest.raises(DomainError):
         fermi_bose_transform(3, TransformKind.FERMI, Fraction(1, 2), 128)

@@ -45,8 +45,7 @@ def test_module_imports_only_what_it_uses(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
-def _private_definitions(tree):
-    """Module-level names starting with a single underscore."""
+def _module_level_names(tree):
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -54,7 +53,12 @@ def _private_definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names |= {t.id for t in targets if isinstance(t, ast.Name)}
-    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+    return names
+
+
+def _private_definitions(tree):
+    """Module-level names starting with a single underscore."""
+    return {n for n in _module_level_names(tree) if n.startswith("_") and not n.startswith("__")}
 
 
 def _references(tree):
@@ -107,6 +111,24 @@ def test_module_public_names_are_referenced(path):
     unused = {n for n in _public_definitions(ast.parse(path.read_text()))
               if n.rpartition(".")[2] not in referenced}
     assert sorted(unused) == []
+
+
+def test_package_exports_only_what_other_files_use():
+    # a name in __all__ earns its place by a reference outside its own
+    # module and __init__; return types are reached through their modules
+    init = SRC / "__init__.py"
+    trees = {p: ast.parse(p.read_text()) for p in
+             [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]}
+    exported = next(ast.literal_eval(node.value) for node in trees[init].body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    unused = []
+    for name in exported:
+        home = next(p for p in [init, *MODULES] if name in _module_level_names(trees[p]))
+        if not any(name in _references(tree) for p, tree in trees.items()
+                   if p not in (home, init)):
+            unused.append(name)
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)

@@ -16,8 +16,6 @@ from legmellin.mpcore import (
     as_rational,
     exact_or_none,
     poly_affine_substitute,
-    poly_eval_complex,
-    poly_structural_equal,
     rational_to_mpf,
     to_mpc,
 )
@@ -174,21 +172,17 @@ def test_affine_substitute_reflection():
     assert reflected.coefficients == (Fraction(1), Fraction(-2))
 
 
-def test_poly_eval_complex_matches_rational_eval():
-    p = RationalPolynomial([Fraction(29, 2), -4, 4])
-    z = HPComplex(Fraction(3, 2), Fraction(1, 4), 256)
-    got = poly_eval_complex(p, z)
-    want = HPComplex(
-        Fraction(29, 2) - 4 * Fraction(3, 2) + 4 * (Fraction(9, 4) - Fraction(1, 16)),
-        -4 * Fraction(1, 4) + 4 * 2 * Fraction(3, 2) * Fraction(1, 4),
-        256,
-    )
-    assert got == want
+def test_affine_substitute_with_zero_slope_is_the_constant():
+    p = RationalPolynomial([Fraction(9, 2), -4, 4])
+    for b in (Fraction(0), Fraction(3, 2), Fraction(-7, 3)):
+        assert poly_affine_substitute(p, 0, b) == RationalPolynomial([p.eval_rational(b)])
+    assert poly_affine_substitute(RationalPolynomial([]), 0, 1).is_zero
 
 
 def test_structural_equality_distinguishes_padding():
-    assert poly_structural_equal(RationalPolynomial([1, 1]), RationalPolynomial([1, 1, 0]))
-    assert not poly_structural_equal(RationalPolynomial([1, 1]), RationalPolynomial([1, 2]))
+    # equality compares the normalized coefficients: trailing zeros drop
+    assert RationalPolynomial([1, 1]) == RationalPolynomial([1, 1, 0])
+    assert RationalPolynomial([1, 1]) != RationalPolynomial([1, 2])
 
 
 # ---------------------------------------------------------------------------

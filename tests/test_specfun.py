@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from legmellin import specfun
 from legmellin.errors import DivergenceError, DomainError, PoleError
-from legmellin.mpcore import GUARD_BITS, GaussianRational, HPComplex
+from legmellin.mpcore import GUARD_BITS, GaussianRational, HPComplex, to_mpc
 from legmellin.specfun import (
     HypergeometricSpec,
     TransformId,
@@ -30,7 +30,7 @@ from legmellin.specfun import (
     polygamma,
     reciprocal_gamma,
     riemann_zeta,
-    terminating_series,
+    terminating_coefficients,
     threeF2_transform_check,
 )
 
@@ -323,44 +323,24 @@ def _series_points():
 
 
 @pytest.mark.parametrize("nums, dens", _SERIES_PARAMS, ids=["2F1", "3F2", "mpc"])
-def test_terminating_series_equals_hyp_pfq_bitwise(nums, dens):
-    series = terminating_series(nums, dens, 128)
-    for z in _series_points():
-        got = series(z)
-        want = hyp_pfq(HypergeometricSpec(nums, dens, z), 128)
-        assert got.real == want.real and got.imag == want.imag, z
-
-
-def test_terminating_series_sums_exactly_once_per_argument(monkeypatch):
-    exact_sums, ratio_builds = [], []
-    exact, ratios = specfun.hyp_terminating_exact, specfun._term_ratios
-
-    def counted_exact(spec):
-        exact_sums.append(spec)
-        return exact(spec)
-
-    def counted_ratios(*args):
-        ratio_builds.append(args)
-        return ratios(*args)
-
-    monkeypatch.setattr(specfun, "hyp_terminating_exact", counted_exact)
-    monkeypatch.setattr(specfun, "_term_ratios", counted_ratios)
-    series = terminating_series((-7, Fraction(1, 3)), (Fraction(5, 2),), 128)
-    first = series(1)
-    for _ in range(19):
-        assert series(mp.mpf(1)) == first
-    assert len(exact_sums) == 1
-    assert not ratio_builds
-    series(mp.mpf("0.5"))
-    series(mp.mpf("0.25"))
-    assert len(ratio_builds) == 1
+def test_terminating_coefficients_sum_to_hyp_pfq(nums, dens):
+    # one coefficient per term up to the first numerator -N, which the
+    # kept -4/-4 pair of the 3F2 still supplies
+    coeffs = terminating_coefficients(nums, dens, 128)
+    assert len(coeffs) == 1 - nums[0] and coeffs[0] == 1
+    workprec = 128 + GUARD_BITS
+    with mp.workprec(workprec):
+        for z in _series_points():
+            got = mp.polyval(coeffs[::-1], to_mpc(z, workprec))
+            want = hyp_pfq(HypergeometricSpec(nums, dens, z), 128).to_mpc()
+            assert abs(got - want) <= mp.mpf(2) ** -120 * (1 + abs(want)), z
 
 
 def test_terminating_series_refuses_what_it_cannot_sum():
     with pytest.raises(DomainError):
-        terminating_series((Fraction(1, 3),), (2,), 128)
+        terminating_coefficients((Fraction(1, 3),), (2,), 128)
     with pytest.raises(PoleError):
-        terminating_series((-3, Fraction(1, 3)), (-2,), 128)
+        terminating_coefficients((-3, Fraction(1, 3)), (-2,), 128)
 
 
 _small_rational = st.builds(Fraction, st.integers(-12, 12), st.integers(2, 5))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -385,6 +386,9 @@ def _add_common(parser: argparse.ArgumentParser, *, out: bool = True) -> None:
                             help="write the report to PATH instead of stdout")
 
 
+# built on the first run_command and reused: parse_args keeps no state
+# between calls, and the precision default is read per call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="legmellin",

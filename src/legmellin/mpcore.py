@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath as mp
@@ -396,11 +397,18 @@ class RationalPolynomial:
         )
 
     def eval_rational(self, s: RationalLike) -> Fraction:
+        """Exact p(s): Horner on the integer numerators over their common
+        denominator D, homogenised in s = u/v, as sum N_i u^i v^(d-i) / (D v^d)."""
         s = as_rational(s)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * s + c
-        return acc
+        if self.is_zero:
+            return Fraction(0)
+        nums, den = _integer_form(self.coefficients)
+        u, v = s.numerator, s.denominator
+        acc, vpow = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            vpow *= v
+            acc = acc * u + c * vpow
+        return Fraction(acc, den * vpow)
 
     def eval_gaussian(self, s: GaussianRational) -> GaussianRational:
         acc = GaussianRational(0)
@@ -421,12 +429,28 @@ class RationalPolynomial:
         return f"RationalPolynomial({[str(c) for c in self.coefficients]})"
 
 
+def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(N, D) with coeffs[i] = N[i] / D and D the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def poly_affine_substitute(
     p: RationalPolynomial, a: RationalLike, b: RationalLike
 ) -> RationalPolynomial:
-    """Exact p(a*s + b)."""
+    """Exact p(a*s + b), on integers: with a = A/q, b = B/q over a common q
+    and p = sum N_i s^i / D of degree d, the Taylor shift by B of
+    sum N_i q^(d-i) y^i, scaled by A^j at s^j, is D q^d p(a*s + b)."""
     a, b = as_rational(a), as_rational(b)
-    acc = RationalPolynomial.zero()
-    for c in reversed(p.coefficients):
-        acc = acc.times_linear(a, b) + RationalPolynomial((c,))
-    return acc
+    if p.is_zero:
+        return RationalPolynomial.zero()
+    nums, den = _integer_form(p.coefficients)
+    d = p.degree
+    q = lcm(a.denominator, b.denominator)
+    big_a, big_b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
+    c = [n * q ** (d - i) for i, n in enumerate(nums)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            c[j] += big_b * c[j + 1]
+    den *= q ** d
+    return RationalPolynomial(Fraction(v * big_a ** j, den) for j, v in enumerate(c))

@@ -255,19 +255,21 @@ def _line_tolerance(precision_bits: int) -> mp.mpf:
 
 
 def _zero_cases(n: int, m: int, config: RunConfig) -> CaseResult:
-    report = criticality.critical_line_report(n, m, config.precision_bits)
-    line_tol = _line_tolerance(config.precision_bits)
-    cert = report.certificate_tolerance
-    certified = all(r <= cert for r in report.residuals)
-    shifted = report.shift_deviation <= cert
-    err = report.max_deviation if (certified and shifted) else mp.mpf(1)
-    got = (f"max deviation {_fmt(report.max_deviation)}" if certified and shifted
-           else "certificate or shift cross-check failed")
+    try:
+        report = criticality.critical_line_report(n, m, config.precision_bits)
+    except ConvergenceError as exc:
+        got, err = f"proof refused: {exc}", mp.mpf(1)
+    else:
+        cert = report.certificate_tolerance
+        if all(r <= cert for r in report.residuals) and report.shift_deviation <= cert:
+            got, err = f"max deviation {_fmt(report.max_deviation)}", report.max_deviation
+        else:
+            got, err = "certificate or shift cross-check failed", mp.mpf(1)
     return _num_case(
         f"n={n:03d},m={m:02d}", {"n": str(n), "m": str(m),
                                  "precision_bits": str(config.precision_bits)},
-        "all roots on Re s = 1/2 with Newton certificates",
-        got, err, line_tol)
+        "all roots on Re s = 1/2 proven by exact sign alternation",
+        got, err, _line_tolerance(config.precision_bits))
 
 
 def _suite_zeros(config: RunConfig) -> List[CaseResult]:

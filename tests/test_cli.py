@@ -1,6 +1,7 @@
 """Command line surface: byte-level output contracts, exit codes, report
 schemas, and precision resolution."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legmellin
-from legmellin import suites
+from legmellin import cli, criticality, suites
 from legmellin.cli import PRECISION_ENV_VAR, run_command
-from legmellin.mellin import order_one_exact, order_one_reference
+from legmellin.mpcore import DEFAULT_PRECISION
+from legmellin.mellin import order_one_exact, order_one_reference, poly_factor
 
 
 def _run(capsys, argv):
@@ -304,6 +306,33 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert "FAIL reps/planted " in out
 
 
+
+def test_refused_zero_proof_fails_its_row(capsys, monkeypatch):
+    # a sign proof forced to fail for one half-polynomial degree fails the
+    # rows of exactly that degree, names them, and the suite still ends
+    proves = criticality._sign_alternation_proves
+
+    def refuse_degree_two(r, located):
+        return r.degree != 2 and proves(r, located)
+
+    monkeypatch.setattr(criticality, "_sign_alternation_proves", refuse_degree_two)
+    code, out, err = _run(capsys, ["verify", "--suite", "zeros", "--max-n", "12",
+                                   "--precision", "128", "--format", "json"])
+    assert (code, err) == (1, "")
+    cases = json.loads(out)["cases"]
+    failed = {c["id"] for c in cases if not c["pass"]}
+    rows = [(n, 0) for n in range(2, 13)] + [(n, m) for m in (2, 4)
+                                              for n in range(m + 2, 13, m)]
+    want = {f"zeros/n={n:03d},m={m:02d}" for n, m in rows
+            if poly_factor(n, m).poly.degree // 2 == 2}
+    assert failed == want and "zeros/n=008,m=00" in failed
+    for case in cases:
+        if case["id"] in failed:
+            assert case["got"] == ("proof refused: the exact sign proof failed: "
+                                   "a root off Re s = 1/2 or a multiple root")
+            assert case["abs_err"] == "1.0"
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -509,3 +538,75 @@ def test_out_io_error_names_path(capsys, tmp_path):
     code, _, err = _run(capsys, ["poly", "--n", "6", "--out", str(target)])
     assert code == 2
     assert str(target) in err
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process and reused
+
+@pytest.fixture
+def fresh_parser():
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_parser_is_built_once_over_many_calls(capsys, monkeypatch, fresh_parser):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(3):
+        code, _, _ = _run(capsys, ["poly", "--n", "4"])
+        assert code == 0
+    # the subcommand parsers are built with it, as ArgumentParsers too
+    assert progs.count("legmellin") == 1
+
+
+def test_usage_error_leaves_no_trace_on_the_next_call(capsys, fresh_parser):
+    argv = ["zeros", "--n", "12", "--precision", "128"]
+    alone = _run(capsys, argv)
+    cli._build_parser.cache_clear()
+    code, _, err = _run(capsys, ["zeros", "--n", "twelve", "--precision", "96"])
+    assert code == 2 and "invalid int value" in err
+    assert _run(capsys, argv) == alone
+    assert alone[0] == 0 and alone[2] == ""
+
+
+def test_precision_is_resolved_per_call(capsys, monkeypatch, fresh_parser):
+    def precision(argv):
+        code, out, _ = _run(capsys, ["mellin", "--n", "2", "--s", "1", *argv])
+        assert code == 0
+        return json.loads(out)["precision_bits"]
+
+    monkeypatch.setenv(PRECISION_ENV_VAR, "96")
+    assert precision([]) == 96
+    monkeypatch.setenv(PRECISION_ENV_VAR, "160")
+    assert precision([]) == 160
+    # a flag given on one call does not become the next call's default
+    assert precision(["--precision", "192"]) == 192
+    assert precision([]) == 160
+    monkeypatch.delenv(PRECISION_ENV_VAR)
+    assert precision([]) == DEFAULT_PRECISION
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(legmellin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import argparse\n"
+             "built = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "def counting(self, *a, **k):\n"
+             "    built.append(k.get('prog'))\n"
+             "    init(self, *a, **k)\n"
+             "argparse.ArgumentParser.__init__ = counting\n"
+             "import legmellin.cli\n"
+             "print(len(built), legmellin.cli._build_parser.cache_info().currsize)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "0 0\n"

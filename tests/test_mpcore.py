@@ -19,6 +19,7 @@ from legmellin.mpcore import (
     rational_to_mpf,
     to_mpc,
 )
+from legmellin.mellin import poly_factor
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=64)
@@ -177,6 +178,58 @@ def test_affine_substitute_with_zero_slope_is_the_constant():
     for b in (Fraction(0), Fraction(3, 2), Fraction(-7, 3)):
         assert poly_affine_substitute(p, 0, b) == RationalPolynomial([p.eval_rational(b)])
     assert poly_affine_substitute(RationalPolynomial([]), 0, 1).is_zero
+
+
+
+# The Fraction loops the integer routines replaced, kept as the reference:
+# Fractions are canonical, so the two must agree exactly.
+
+def _fraction_substitute(p, a, b):
+    a, b = as_rational(a), as_rational(b)
+    acc = RationalPolynomial.zero()
+    for c in reversed(p.coefficients):
+        acc = acc.times_linear(a, b) + RationalPolynomial((c,))
+    return acc
+
+
+def _fraction_eval(p, x):
+    x = as_rational(x)
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    return acc
+
+
+_REFERENCE_POLYS = [RationalPolynomial.zero(), RationalPolynomial([Fraction(-7, 3)])] + [
+    poly_factor(n, m).poly for n, m in ((2, 0), (9, 0), (24, 2), (59, 10), (120, 0),
+                                        (201, 4), (300, 0))]
+_AFFINE_MAPS = [(1, Fraction(1, 2)), (-1, 1), (1, 2), (1, -2),
+                (Fraction(3, 7), Fraction(-5, 3)), (0, Fraction(2, 3))]
+_EVAL_POINTS = [0, -3, Fraction(-7, 3), Fraction(5, 11), Fraction(3, 2 ** 200),
+                Fraction(-1, 2 ** 61),
+                Fraction(12345678901234567, 98765432109876543) ** 3]
+
+
+@pytest.mark.parametrize("p", _REFERENCE_POLYS, ids=lambda p: f"deg{p.degree}")
+@pytest.mark.parametrize("a, b", _AFFINE_MAPS)
+def test_affine_substitute_matches_the_fraction_loop(p, a, b):
+    assert poly_affine_substitute(p, a, b).coefficients == \
+        _fraction_substitute(p, a, b).coefficients
+
+
+@pytest.mark.parametrize("p", _REFERENCE_POLYS, ids=lambda p: f"deg{p.degree}")
+def test_eval_rational_matches_the_fraction_loop(p):
+    for x in _EVAL_POINTS:
+        got = p.eval_rational(x)
+        assert type(got) is Fraction and got == _fraction_eval(p, x)
+
+
+@given(st.lists(rationals, max_size=8), rationals, rationals, rationals)
+@settings(max_examples=80, deadline=None)
+def test_integer_routines_match_the_fraction_loops(coeffs, a, b, x):
+    p = RationalPolynomial(coeffs)
+    assert poly_affine_substitute(p, a, b) == _fraction_substitute(p, a, b)
+    assert p.eval_rational(x) == _fraction_eval(p, x)
 
 
 def test_structural_equality_distinguishes_padding():

@@ -123,7 +123,8 @@ def _sign_alternation_proves(r: RationalPolynomial, located: List[mp.mpf]) -> bo
     (q_(j-1), q_j) around located[j-1], with q_0 = 0, q_j the midpoints of
     the located roots and q_k = 2 * located[-1], k = deg r.
 
-    The q_j are dyadic, so r(q_j) is computed exactly.  Nonzero signs that
+    The q_j are dyadic, so the sign of r(q_j) is read exactly from an
+    integer Horner (RationalPolynomial.sign_at).  Nonzero signs that
     alternate put, by the intermediate value theorem, a root of r in each
     of the k intervals, and as r has degree k each holds exactly one."""
     points = [mp.mpf(0)] + [(lo + hi) / 2 for lo, hi in zip(located, located[1:])]
@@ -131,8 +132,8 @@ def _sign_alternation_proves(r: RationalPolynomial, located: List[mp.mpf]) -> bo
     chain = [v for pair in zip(points, located) for v in pair] + points[-1:]
     if any(not lo < hi for lo, hi in zip(chain, chain[1:])):
         return False
-    values = [r.eval_rational(Fraction(*mp.libmp.to_rational(q._mpf_))) for q in points]
-    return all(a * b < 0 for a, b in zip(values, values[1:]))
+    signs = [r.sign_at(q) for q in points]
+    return all(a * b < 0 for a, b in zip(signs, signs[1:]))
 
 
 def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -> List[HPComplex]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import comb, factorial, gcd, lcm
 from typing import Dict, Tuple
@@ -27,6 +28,7 @@ from .mpcore import (
     RationalPolynomial,
     as_rational,
     exact_or_none,
+    fixed_point_horner,
     to_mpc,
 )
 from .quadrature import tanh_sinh
@@ -60,11 +62,9 @@ class MellinClosedForm:
     m: int
 
     def evaluate(self, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-        n, prefactor_bits = self.n, precision_bits + 8
+        prefactor_bits = precision_bits + 8
         with mp.workprec(prefactor_bits + GUARD_BITS):
-            z = to_mpc(s, prefactor_bits + GUARD_BITS)
-            pref = (mp.sqrt(mp.pi) * mp.power(2, _two_power(n, self.m))
-                    * mp.gamma((z + n % 2) / 2) * mp.rgamma((z + (n + 1)) / 2))
+            pref = _prefactor(self.n, self.m, to_mpc(s, prefactor_bits + GUARD_BITS))
         sval = HPComplex.from_value(pref, prefactor_bits).to_mpc()
         with mp.workprec(precision_bits + GUARD_BITS):
             z = to_mpc(s, precision_bits + GUARD_BITS)
@@ -137,6 +137,13 @@ def _two_power(n: int, m: int) -> int:
     return -(m // 2 + 1 + 2 * ((n - m) // 2))
 
 
+def _prefactor(n: int, m: int, z: mp.mpc) -> mp.mpc:
+    """sqrt(pi) 2^t Gamma((z+eps)/2) / Gamma((z+n+1)/2) at the ambient
+    precision, t = _two_power(n, m) and eps = n mod 2."""
+    return (mp.sqrt(mp.pi) * mp.power(2, _two_power(n, m))
+            * mp.gamma((z + n % 2) / 2) * mp.rgamma((z + (n + 1)) / 2))
+
+
 def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
     """Exact polynomial factor and gamma prefactor of M_n^m, m even.
 
@@ -150,9 +157,14 @@ def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
         raise DomainError("polynomial factors exist for even m only")
     if m > n:
         raise DomainError(f"order m = {m} exceeds degree n = {n}")
+    return _closed_form(n, m)
+
+
+@cache
+def _closed_form(n: int, m: int) -> MellinClosedForm:
+    """poly_factor(n, m), built from _poly_int's integers once per process."""
     coeffs, den = _poly_int(n, m)
-    poly = RationalPolynomial([Fraction(c, den) for c in _monomial(coeffs)])
-    return MellinClosedForm(poly=poly, n=n, m=m)
+    return MellinClosedForm(RationalPolynomial.from_integers(_monomial(coeffs), den), n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +631,8 @@ def _p3_sum(n: int, sq, precision_bits: int) -> mp.mpc:
 def _fixed_point_poly(coeffs: list):
     """x -> sum_k coeffs[k] x^k for real |x| <= 1, at the ambient precision.
 
-    Horner runs on integers at 2^S, the real and imaginary parts walked
-    separately, and each part is divided once at the end.  With N the
+    The coefficients and x are read as integers at 2^S, fixed_point_horner
+    runs on them, and each part is divided once at the end.  With N the
     degree, the truncations of the N Horner steps, of the N + 1
     coefficients and of x cost at most 2N + 1 + sum_k k |c_k| units of 2^-S,
     so S puts FIXED_GUARD_BITS bits beyond the working precision below
@@ -628,18 +640,11 @@ def _fixed_point_poly(coeffs: list):
     """
     shift = mp.mp.prec + FIXED_GUARD_BITS + max(
         0, mp.mag(mp.fsum((k + 1) * abs(c) for k, c in enumerate(coeffs))))
-    parts = [[int(mp.ldexp(part(c), shift)) for c in reversed(coeffs)]
-             for part in (mp.re, mp.im)]
+    parts = [[int(mp.ldexp(part(c), shift)) for c in coeffs] for part in (mp.re, mp.im)]
 
     def evaluate(x) -> mp.mpc:
-        big_x = int(mp.ldexp(x, shift))
-        values = []
-        for fixed in parts:
-            acc = 0
-            for c in fixed:
-                acc = (acc * big_x >> shift) + c
-            values.append(mp.ldexp(acc, -shift))
-        return mp.mpc(*values)
+        values = fixed_point_horner(*parts, int(mp.ldexp(x, shift)), 0, shift)
+        return mp.mpc(*(mp.ldexp(v, -shift) for v in values))
 
     return evaluate
 
@@ -678,6 +683,13 @@ class GenfunComparison:
 def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunComparison:
     """Partial sum sum_{k<=N} M_k(s) t^k against the two-line closed form.
 
+    The partial sum pays one gamma pair per parity of k.  With M_k(s) =
+    pref_k p_k(s) and pref_k = sqrt(pi) 2^t Gamma((s+eps)/2) / Gamma((s+k+1)/2)
+    as in MellinClosedForm, t drops by 2 and Gamma((s+k+1)/2) gains the
+    factor (s+k+1)/2 from k to k + 2, so pref_(k+2) = pref_k / (2(s+k+1)).
+    t^k steps by one multiplication, exact when t reads exactly, and the
+    terms are summed 48 bits beyond precision_bits.
+
     The closed form's second line carries a 1/s factor; without it the odd
     line disagrees with the partial sums by exactly a factor s.  The tail
     bound C|t|^{N+1} uses |M_k(s)| <= 1/Re(s), valid since |P_k| <= 1.
@@ -713,14 +725,18 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
             raise DomainError("closed form requires |4t^2/(1+t^2)^2| < 1, "
                               f"got {mp.nstr(abs(zz), 6)}")
 
-        even = mp.mpc(0)
-        odd = mp.mpc(0)
-        for k in range(N + 1):
-            term = mellin_closed(k, 0, sq, precision_bits + 16).to_mpc() * tv ** k
-            if k % 2 == 0:
-                even += term
-            else:
-                odd += term
+        bits = precision_bits + 24 + GUARD_BITS
+        with mp.workprec(bits):
+            w = to_mpc(sq, bits)
+            pref = [_prefactor(0, 0, w), _prefactor(1, 0, w)]
+            step = tq if tq is not None else to_mpc(t, bits)
+            power, sums = 1, [mp.mpc(0), mp.mpc(0)]
+            for k in range(N + 1):
+                sums[k % 2] += (pref[k % 2] * to_mpc(power, bits)
+                                * poly_factor(k, 0).poly.eval_mpc(w, precision_bits + 24))
+                pref[k % 2] /= 2 * (w + k + 1)
+                power = power * step
+            partial = sums[0] + sums[1]
 
         shared = mp.sqrt(mp.pi) / mp.sqrt(1 + tv * tv)
         line1 = shared * mp.gamma(z / 2) / (2 * mp.gamma((z + 1) / 2)) * hyp_pfq(
@@ -735,13 +751,13 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
 
         tail = abs(tv) ** (N + 1) / ((1 - abs(tv)) * z.real)
         return GenfunComparison(
-            partial_sum=HPComplex.from_value(even + odd, precision_bits),
+            partial_sum=HPComplex.from_value(partial, precision_bits),
             closed_form=HPComplex.from_value(line1 + line2, precision_bits),
             tail_bound=mp.mpf(tail),
             closed_even=HPComplex.from_value(line1, precision_bits),
             closed_odd=HPComplex.from_value(line2, precision_bits),
-            partial_even=HPComplex.from_value(even, precision_bits),
-            partial_odd=HPComplex.from_value(odd, precision_bits),
+            partial_even=HPComplex.from_value(sums[0], precision_bits),
+            partial_odd=HPComplex.from_value(sums[1], precision_bits),
         )
 
 

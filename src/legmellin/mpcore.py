@@ -5,19 +5,20 @@ Exact rationals are ``fractions.Fraction``: always stored reduced, which is
 exactly the invariant the recursions need to keep coefficient growth in
 check.  ``HPComplex`` carries its precision in bits as data, not ambient
 state; mixed-precision arithmetic resolves to the max of the operands.
-``RationalPolynomial`` is dense and exact (degrees stay around 100 at the
-scales this package targets, so sparsity never pays).
+``RationalPolynomial`` is dense and exact: integer numerators over one
+denominator, evaluated at floating points by a fixed-point integer Horner
+(``fixed_point_horner``) whose truncation bound sets its width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, gcd, lcm, log2
 from typing import Iterable, Optional, Sequence, Union
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpf_div, mpf_pos, round_nearest
+from mpmath.libmp import from_int, fzero, mpf_div, mpf_pos, mpf_shift, round_nearest
 
 from .errors import DomainError
 
@@ -26,7 +27,8 @@ MIN_PRECISION = 64
 # extra working bits behind every result rounded to a requested precision
 GUARD_BITS = 24
 # fixed-point bits beyond the working precision in the integer recurrences
-# and Horner loops of mellin and specfun
+# and Horner loops of mellin and specfun, and beyond the requested precision
+# in RationalPolynomial.eval_mpc
 FIXED_GUARD_BITS = 16
 
 RationalLike = Union[int, Fraction]
@@ -294,27 +296,65 @@ def exact_or_none(value) -> Optional[GaussianRational]:
     return None
 
 
-class RationalPolynomial:
-    """Dense polynomial over Fraction; index i holds the coefficient of s^i.
+def fixed_point_horner(coeffs_re: Sequence[int], coeffs_im: Sequence[int],
+                       x: int, y: int, k: int) -> tuple[int, int]:
+    """Horner for sum_j c_j w^j at w = (x + iy) 2^-k, k >= 0, on integers:
+    c_j = coeffs_re[j] + i coeffs_im[j] at a scale the caller chooses, each
+    product by w floored back to it.  A step errs by under one unit in each
+    part, and the error made where c_j is added is carried by w^j, so with d
+    the degree the result is within sqrt(2) sum_{j<d} |w|^j units (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, 5.1)."""
+    ar = ai = 0
+    for cr, ci in zip(reversed(coeffs_re), reversed(coeffs_im)):
+        ar, ai = ((ar * x - ai * y) >> k) + cr, ((ar * y + ai * x) >> k) + ci
+    return ar, ai
 
-    The zero polynomial is the empty coefficient tuple.  The last stored
-    coefficient is always nonzero (normalization strips trailing zeros and
-    is idempotent).
+
+def _fixed_parts(re: tuple, im: tuple) -> tuple[int, int, int]:
+    """(x, y, k), k >= 0, with (x + iy) 2^-k exactly the finite mpf parts
+    re + i im, read from their ``_mpf_`` tuples (sign, mantissa, exponent)."""
+    parts = [(-man if sign else man, exp) for sign, man, exp, _ in (re, im)]
+    k = max([0] + [-exp for man, exp in parts if man])
+    return parts[0][0] << (parts[0][1] + k), parts[1][0] << (parts[1][1] + k), k
+
+
+class RationalPolynomial:
+    """Dense polynomial over the rationals; coefficient i multiplies s^i.
+
+    Stored as integer numerators N_0..N_d over one denominator D > 0, with
+    p(s) = sum_i N_i s^i / D, gcd(D, N_0, ..., N_d) = 1 and N_d != 0 (the
+    zero polynomial has no numerators and D = 1): equal polynomials store
+    equal integers, whichever constructor built them.  ``coefficients``, the
+    reduced Fractions N_i / D, is built on first read and kept.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("_nums", "_den", "_fractions")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        self.coefficients: tuple[Fraction, ...] = self._normalize(
-            tuple(as_rational(c) for c in coefficients)
-        )
+        coeffs = [as_rational(c) for c in coefficients]
+        den = lcm(*(c.denominator for c in coeffs))
+        self._set([c.numerator * (den // c.denominator) for c in coeffs], den)
 
-    @staticmethod
-    def _normalize(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        end = len(coeffs)
-        while end > 0 and coeffs[end - 1] == 0:
-            end -= 1
-        return tuple(coeffs[:end])
+    @classmethod
+    def from_integers(cls, nums: Sequence[int], den: int) -> "RationalPolynomial":
+        """sum_i nums[i] s^i / den, for integers and den != 0."""
+        p = cls.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    def _set(self, nums: Sequence[int], den: int) -> None:
+        nums = list(nums)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den, *nums) * (1 if den > 0 else -1)
+        self._nums, self._den = tuple(c // g for c in nums), den // g
+        self._fractions: Optional[tuple[Fraction, ...]] = None
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        if self._fractions is None:
+            self._fractions = tuple(Fraction(c, self._den) for c in self._nums)
+        return self._fractions
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
@@ -326,89 +366,77 @@ class RationalPolynomial:
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self._nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coefficients[-1]
+        return Fraction(self._nums[-1], self._den) if self._nums else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.coefficients)
+        return hash((self._nums, self._den))
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self.coefficients, other.coefficients
+        den = lcm(self._den, other._den)
+        a, b = ([c * (den // q._den) for c in q._nums] for q in (self, other))
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
+            a[i] += c
+        return RationalPolynomial.from_integers(a, den)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial(tuple(-c for c in self.coefficients))
+        return RationalPolynomial.from_integers([-c for c in self._nums], self._den)
 
     def __mul__(self, other) -> "RationalPolynomial":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
+        out = [0] * (len(self._nums) + len(other._nums) - 1)
+        for i, a in enumerate(self._nums):
+            for j, b in enumerate(other._nums):
                 out[i + j] += a * b
-        return RationalPolynomial(out)
+        return RationalPolynomial.from_integers(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, factor: RationalLike) -> "RationalPolynomial":
         factor = as_rational(factor)
-        return RationalPolynomial(tuple(c * factor for c in self.coefficients))
+        return RationalPolynomial.from_integers(
+            [c * factor.numerator for c in self._nums], self._den * factor.denominator)
 
     def times_linear(self, a: RationalLike, b: RationalLike) -> "RationalPolynomial":
-        """Multiply by (a*s + b) without building a temporary polynomial."""
-        a, b = as_rational(a), as_rational(b)
-        out = [Fraction(0)] * (len(self.coefficients) + 1)
-        for i, c in enumerate(self.coefficients):
-            out[i + 1] += c * a
-            out[i] += c * b
-        return RationalPolynomial(out)
+        """Multiply by (a*s + b)."""
+        return self * RationalPolynomial((b, a))
 
     def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial(
-            tuple(i * c for i, c in enumerate(self.coefficients) if i >= 1)
-        )
+        return RationalPolynomial.from_integers(
+            [i * c for i, c in enumerate(self._nums)][1:], self._den)
 
     def eval_rational(self, s: RationalLike) -> Fraction:
-        """Exact p(s): Horner on the integer numerators over their common
-        denominator D, homogenised in s = u/v, as sum N_i u^i v^(d-i) / (D v^d)."""
+        """Exact p(s): Horner on the numerators, homogenised in s = u/v, as
+        sum N_i u^i v^(d-i) / (D v^d)."""
         s = as_rational(s)
         if self.is_zero:
             return Fraction(0)
-        nums, den = _integer_form(self.coefficients)
         u, v = s.numerator, s.denominator
-        acc, vpow = nums[-1], 1
-        for c in reversed(nums[:-1]):
+        acc, vpow = self._nums[-1], 1
+        for c in reversed(self._nums[:-1]):
             vpow *= v
             acc = acc * u + c * vpow
-        return Fraction(acc, den * vpow)
+        return Fraction(acc, self._den * vpow)
 
     def eval_gaussian(self, s: GaussianRational) -> GaussianRational:
         acc = GaussianRational(0)
@@ -416,23 +444,48 @@ class RationalPolynomial:
             acc = acc * s + GaussianRational(c)
         return acc
 
-    def eval_mpc(self, s, precision_bits: int = DEFAULT_PRECISION):
-        """Horner evaluation at an mpf/mpc point, at the given precision."""
-        with mp.workprec(precision_bits + 16):
-            z = mp.mpc(s) if not isinstance(s, mp.mpf) else s
-            acc = mp.mpc(0) if isinstance(z, mp.mpc) else mp.mpf(0)
-            for c in reversed(self.coefficients):
-                acc = acc * z + rational_to_mpf(c, precision_bits + 16)
-        return acc
+    def sign_at(self, x: mp.mpf) -> int:
+        """The sign of p at a finite real mpf x = X 2^-k, exactly, since D > 0
+        and fixed_point_horner at 2^-(d k), d the degree, drops no set bit."""
+        big_x, _, k = _fixed_parts(x._mpf_, fzero)
+        value = fixed_point_horner([c << (self.degree * k) for c in self._nums],
+                                   (0,) * len(self._nums), big_x, 0, k)[0]
+        return (value > 0) - (value < 0)
+
+    def eval_mpc(self, s, precision_bits: int = DEFAULT_PRECISION) -> mp.mpc:
+        """p(s) rounded to w = precision_bits + FIXED_GUARD_BITS bits.
+
+        With s read at w bits as (X + iY) 2^-k, fixed_point_horner runs on
+        the numerators N_j 2^W, and its result A is divided by D 2^W once.
+        Its truncation bound is 2^T units, T = 1/2 + log2 d + (d-1) log2
+        max(1, |s|); at W = d k no shift drops a set bit, and A is exact.
+        Width rule: W starts at w + T + 2 - log2 max_j |N_j| |s|^j (at least
+        0, at most d k); while A has fewer than w + T + 2 bits, which is the
+        sum cancelling, W grows by the shortfall and the pass reruns.  An
+        accepted A is within 2^-w relative of D p(s) 2^W.
+        """
+        width = precision_bits + FIXED_GUARD_BITS
+        x, y, k = _fixed_parts(*to_mpc(s, width)._mpc_)
+        nums, d = self._nums, self.degree
+        shift = need = 0
+        top = d * k
+        if top > 0:
+            log_z = log2(x * x + y * y) / 2 - k
+            need = width + 2 + ceil(0.5 + log2(d) + (d - 1) * max(0.0, log_z))
+            shift = need - floor(max(c.bit_length() - 1 + j * log_z for j, c in enumerate(nums)))
+        while True:
+            shift = max(0, min(shift, top))
+            parts = fixed_point_horner([c << shift for c in nums], (0,) * len(nums), x, y, k)
+            short = need - max(abs(v) for v in parts).bit_length()
+            if shift == top or short <= 0:
+                break
+            shift += short
+        return mp.make_mpc(tuple(
+            mpf_shift(mpf_div(from_int(v), from_int(self._den), width, round_nearest), -shift)
+            for v in parts))
 
     def __repr__(self):
         return f"RationalPolynomial({[str(c) for c in self.coefficients]})"
-
-
-def _integer_form(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(N, D) with coeffs[i] = N[i] / D and D the lcm of the denominators."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def poly_affine_substitute(
@@ -444,13 +497,12 @@ def poly_affine_substitute(
     a, b = as_rational(a), as_rational(b)
     if p.is_zero:
         return RationalPolynomial.zero()
-    nums, den = _integer_form(p.coefficients)
     d = p.degree
     q = lcm(a.denominator, b.denominator)
     big_a, big_b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
-    c = [n * q ** (d - i) for i, n in enumerate(nums)]
+    c = [n * q ** (d - i) for i, n in enumerate(p._nums)]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             c[j] += big_b * c[j + 1]
-    den *= q ** d
-    return RationalPolynomial(Fraction(v * big_a ** j, den) for j, v in enumerate(c))
+    return RationalPolynomial.from_integers(
+        [v * big_a ** j for j, v in enumerate(c)], p._den * q ** d)

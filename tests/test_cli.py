@@ -21,7 +21,8 @@ import legmellin
 from legmellin import cli, criticality, suites
 from legmellin.cli import PRECISION_ENV_VAR, run_command
 from legmellin.mpcore import DEFAULT_PRECISION
-from legmellin.mellin import order_one_exact, order_one_reference, poly_factor
+from legmellin.mellin import (mellin_recursion_reference, order_one_exact,
+                             order_one_reference, poly_factor)
 
 
 def _run(capsys, argv):
@@ -95,12 +96,47 @@ def test_mellin_high_degree_odd_order_complex_argument(capsys):
     payload = json.loads(out)
     prec = payload["precision_bits"]
     with mp.workprec(prec + 64):
-        body = payload["value"].removesuffix("i")
-        cut = max(i for i, c in enumerate(body)
-                  if c in "+-" and i > 0 and body[i - 1] not in "eE")
-        got = mp.mpc(body[:cut], body[cut:])
+        got = _complex_value(payload["value"])
         want = order_one_reference(2001, mp.mpc(2, 3), prec + 64).to_mpc()
         assert abs(got - want) / abs(want) < mp.mpf(2) ** -(prec - 20)
+
+
+def _complex_value(text):
+    """The mpc a printed value a+bi reads as, at the ambient precision."""
+    body = text.removesuffix("i")
+    cut = max(i for i, c in enumerate(body)
+              if c in "+-" and i > 0 and body[i - 1] not in "eE")
+    return mp.mpc(body[:cut], body[cut:])
+
+
+def _closed_form_gap(capsys, n, m, s, prec):
+    """Relative distance of `mellin` at (n, m, s, prec) from the value
+    recursion, run 64 + 3n/2 bits wider, as its docstring asks."""
+    code, out, err = _run(capsys, ["mellin", "--n", str(n), "--m", str(m), f"--s={s}",
+                                   "--precision", str(prec)])
+    assert (code, err) == (0, "")
+    wide = prec + 64 + (3 * n) // 2
+    with mp.workprec(wide):
+        got = _complex_value(json.loads(out)["value"])
+        want = mellin_recursion_reference(n, m, cli._parse_exact(s), wide).to_mpc()
+        return abs(got - want) / abs(want)
+
+
+def test_mellin_is_right_to_the_bits_it_prints_at_large_imaginary_part(capsys):
+    # Horner in floating point lost 137 bits here and printed
+    # 0.6044748717822...+0.1398538704665...i for 0.001351240501892...+0.000234383051733...i
+    gap = _closed_form_gap(capsys, 800, 0, "3+500i", 128)
+    assert gap <= mp.mpf(2) ** -(128 - 2), gap
+
+
+def test_mellin_large_imaginary_part_panel(capsys):
+    # where the monomial sum cancels by up to about 160 bits
+    for n in (200, 400, 800):
+        for m in (0, 10):
+            for s in ("3+500i", "1/2+50i"):
+                for prec in (64, 128, 256):
+                    gap = _closed_form_gap(capsys, n, m, s, prec)
+                    assert gap <= mp.mpf(2) ** -(prec - 2), (n, m, s, prec, gap)
 
 
 def test_zeros_payload(capsys):
@@ -389,6 +425,18 @@ def test_mellin_panel_matches_its_golden_transcript(capsys, monkeypatch):
     monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
     out = _transcript(capsys, MELLIN_PANEL)
     assert out == (GOLDEN / "mellin_closed_form.txt").read_bytes().decode("utf-8")
+
+
+GENFUN_PANEL = [["genfun", f"--t={t}", f"--s={s}", "--terms", str(terms), "--precision", "128"]
+                for t in ("1/10", "-1/4", "1/3") for s in ("2", "3/2+1i", "5/2")
+                for terms in (25, 75, 114)]
+
+
+def test_genfun_panel_matches_its_golden_transcript(capsys, monkeypatch):
+    # partial sums, closed forms and their differences, byte for byte
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    out = _transcript(capsys, GENFUN_PANEL)
+    assert out == (GOLDEN / "genfun.txt").read_bytes().decode("utf-8")
 
 
 def test_unknown_suite_exits_two(capsys):

@@ -153,6 +153,17 @@ def test_double_root_on_the_line_refused():
         find_roots(p, 512)
 
 
+@pytest.mark.parametrize("located, proves", [
+    ([2, 5], True),        # checked at 0, 7/2 and 10: signs +, -, +
+    ([1, 3], False),       # the midpoint 2 is a root, where the sign is 0
+    ([6, 7], False),       # 0, 13/2 and 14 give +, +, +
+])
+def test_sign_proof_needs_nonzero_alternating_signs(located, proves):
+    r = RationalPolynomial([-2, 1]) * RationalPolynomial([-5, 1])
+    with mp.workprec(128):
+        assert criticality._sign_alternation_proves(r, [mp.mpf(y) for y in located]) is proves
+
+
 @pytest.mark.parametrize("bits", [128, 192, 256])
 @pytest.mark.parametrize("p,error", [
     # (s - 1/2)^2 (s^2 - s + 5/4): symmetric, so only the exact proof can refuse it

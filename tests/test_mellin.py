@@ -514,6 +514,23 @@ def test_genfun_parity_split():
     assert total.abs_value() < mp.mpf(10) ** -60
 
 
+@pytest.mark.parametrize("t, s", [
+    (Fraction(1, 3), GaussianRational(Fraction(3, 2), 1)),
+    (Fraction(-1, 4), GaussianRational(Fraction(5, 2), Fraction(-7, 2))),
+    (Fraction(2, 5), HPComplex("0.7", "12.25", 160)),
+])
+def test_genfun_partial_sum_is_the_sum_of_closed_terms(t, s):
+    # the stepped prefactors and powers of t against one mellin_closed call
+    # per term, summed 64 bits wider
+    prec, terms = 128, 150
+    got = genfun(t, s, terms, prec).partial_sum.to_mpc()
+    with mp.workprec(prec + 64):
+        want = mp.fsum(mellin_closed(k, 0, s, prec + 32).to_mpc()
+                       * mp.mpf(t.numerator) ** k / mp.mpf(t.denominator) ** k
+                       for k in range(terms + 1))
+        assert abs(got - want) <= mp.mpf(2) ** -(prec - 4) * abs(want)
+
+
 def test_genfun_domain_checks():
     with pytest.raises(DomainError):
         genfun(Fraction(3, 2), Fraction(2), 10, 128)

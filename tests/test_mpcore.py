@@ -15,10 +15,12 @@ from legmellin.mpcore import (
     RationalPolynomial,
     as_rational,
     exact_or_none,
+    fixed_point_horner,
     poly_affine_substitute,
     rational_to_mpf,
     to_mpc,
 )
+from legmellin.criticality import find_roots
 from legmellin.mellin import poly_factor
 
 rationals = st.fractions(
@@ -345,3 +347,92 @@ def test_readers_refuse_non_finite_and_unreadable_scalars(bad):
         to_mpc(bad, 128)
     with pytest.raises(DomainError):
         exact_or_none(bad)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (9, 0), (40, 4), (121, 10)])
+def test_equality_and_hash_agree_across_construction_routes(n, m):
+    # poly_factor builds from integers; the same polynomial read from its
+    # Fractions, or from unreduced integers over a negative denominator,
+    # is equal and hashes alike
+    built = poly_factor(n, m).poly
+    coeffs = built.coefficients
+    assert built.coefficients is coeffs
+    den = 6 * max(c.denominator for c in coeffs)
+    nums = [c.numerator * den // c.denominator for c in coeffs] + [0, 0]
+    for other in (RationalPolynomial(coeffs),
+                  RationalPolynomial.from_integers([-v for v in nums], -den)):
+        assert other == built and hash(other) == hash(built)
+        assert other.coefficients == coeffs
+
+
+# The fixed-point kernel behind eval_mpc, against exact values at dyadic
+# points; mpf.man_exp drops the sign, so points are read from _mpf_.
+
+def _gaussian(z):
+    return GaussianRational(*(Fraction(*mp.libmp.to_rational(part._mpf_))
+                              for part in (z.real, z.imag)))
+
+
+_KERNEL_POINTS = [(3, 500), (Fraction(1, 2), 50), (Fraction(5, 4), 0), (-7, Fraction(3, 8)),
+                  ("1/3", "1/7"), ("-2/3", 0), ("0.01", "-31.7"), ("1e-9", 0), (0, 0)]
+
+
+@pytest.mark.parametrize("n, m, prec", [(12, 0, 64), (12, 0, 128), (61, 4, 64), (61, 4, 128),
+                                        (120, 10, 64), (120, 10, 128), (800, 0, 64)])
+def test_eval_mpc_is_within_its_bound_at_dyadic_points(n, m, prec):
+    # degree up to 400; short mantissas and full ones of w = prec + 16 bits;
+    # an accepted pass is within 2^-w before each part is rounded to w bits
+    p = poly_factor(n, m).poly
+    w = prec + 16
+    for re, im in _KERNEL_POINTS:
+        z = mp.make_mpc(tuple(rational_to_mpf(as_rational(v), w)._mpf_ for v in (re, im)))
+        exact = p.eval_gaussian(_gaussian(z))
+        got = p.eval_mpc(z, prec)
+        with mp.workprec(w + 64):
+            want = exact.to_mpc(w + 64)
+            assert abs(got - want) <= mp.mpf(2) ** -(w - 2) * abs(want), (re, im)
+
+
+def test_eval_mpc_widens_where_the_sum_cancels():
+    # near a root p(z) is a tiny share of its terms: the first pass falls
+    # short of the bound and reruns wider, up to the exact width d k
+    cubic = RationalPolynomial([-1, 3]) * RationalPolynomial([-1, 3]) * RationalPolynomial([-1, 3])
+    p = poly_factor(40, 0).poly
+    w = 128 + 16
+    third = rational_to_mpf(Fraction(1, 3), 300)._mpf_
+    cases = [(cubic.times_linear(1, 2), mp.make_mpc((third, mp.mpf(0)._mpf_)))]
+    cases += [(p, root.to_mpc()) for root in find_roots(p, 256)[-3:]]
+    for poly, z in cases:
+        exact = poly.eval_gaussian(_gaussian(to_mpc(z, w)))
+        got = poly.eval_mpc(z, 128)
+        with mp.workprec(w + 64):
+            want = exact.to_mpc(w + 64)
+            assert want != 0 and abs(got - want) <= mp.mpf(2) ** -(w - 2) * abs(want), z
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=40),
+       parts=st.tuples(st.integers(-2 ** 90, 2 ** 90), st.integers(-2 ** 90, 2 ** 90)),
+       k=st.integers(0, 120), shift=st.integers(0, 200))
+def test_fixed_point_horner_is_within_its_truncation_bound(coeffs, parts, k, shift):
+    # |result - sum_j N_j 2^shift w^j| < sqrt(2) sum_{j<d} |w|^j units
+    x, y = parts
+    w = GaussianRational(Fraction(x, 2 ** k), Fraction(y, 2 ** k))
+    got = fixed_point_horner([c << shift for c in coeffs], [0] * len(coeffs), x, y, k)
+    exact = RationalPolynomial(coeffs).eval_gaussian(w) * 2 ** shift
+    with mp.workprec(4000):
+        err = abs(mp.mpc(*got) - exact.to_mpc(4000))
+        modulus = abs(w.to_mpc(4000))
+        assert err <= mp.sqrt(2) * mp.fsum(modulus ** j for j in range(len(coeffs) - 1))
+
+
+def test_sign_at_reads_the_exact_sign_and_zero():
+    # (y - 1/2)(y - 3/4)(y + 5) has dyadic roots, where the sign is 0
+    assert RationalPolynomial.zero().sign_at(mp.mpf(1)) == 0
+    cubic = RationalPolynomial([Fraction(-1, 2), 1]).times_linear(1, Fraction(-3, 4)) \
+        .times_linear(1, 5)
+    for p in (cubic, poly_factor(120, 0).poly):
+        for x in (0, 0.5, 0.75, -5, 0.6, 1, -1e-30, 2 ** -200, 3e50, 1.0 / 3):
+            q = mp.mpf(x)
+            want = p.eval_rational(Fraction(*mp.libmp.to_rational(q._mpf_)))
+            assert p.sign_at(q) == (want > 0) - (want < 0), x

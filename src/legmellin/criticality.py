@@ -4,14 +4,16 @@ bridge.
 
 The zero certificate is exact.  Each polynomial factor p_n^m satisfies
 p(1-s) = +-p(s), so p(1/2 + it) = (it)^e R(t^2) with rational R.
-`find_roots` locates the roots of R in real arithmetic and proves them by
-the exact sign alternation of R at dyadic points, which makes every root
-of p simple and on Re s = 1/2 with no tolerance involved.  That R is
-real-rooted is the paper's theorem, reached through its continuous-Hahn
-bridge (`hahn_proportionality`).  Polynomials without the symmetry, and
-symmetric ones the proof does not cover, are refused with a typed error.
-Newton residuals on p and a real Newton cross-check on R are reported,
-not relied on.
+`find_roots` locates the roots of R by Newton-Maehly on integers and
+proves them by the exact sign alternation of R at dyadic points, which
+makes every root of p simple and on Re s = 1/2 with no tolerance involved.
+That R is real-rooted is the paper's theorem, reached through its
+continuous-Hahn bridge (`hahn_proportionality`).  Polynomials without the
+symmetry, and symmetric ones the proof does not cover, are refused with a
+typed error.  Newton residuals on p and a real Newton cross-check on R are
+reported, not relied on.  The locator, the residuals and the cross-check
+all evaluate through `RationalPolynomial.fixed_eval`, the fixed-point
+Horner with its derivative, on the integer numerators of p or R.
 
 The functional-equation sign deserves a note.  A real-coefficient polynomial
 whose roots all sit on Re s = 1/2 satisfies p(1-s) = (-1)^(deg p) p(s), and
@@ -25,9 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_mul, mpf_shift, to_int
 
 from .errors import ConvergenceError, DomainError
 from .mellin import mellin_closed, poly_factor
@@ -36,31 +40,27 @@ from .mpcore import (
     GaussianRational,
     HPComplex,
     RationalPolynomial,
+    _fixed_parts,
     exact_or_none,
     poly_affine_substitute,
-    rational_to_mpf,
     to_mpc,
 )
 from .specfun import HypergeometricSpec, hyp_pfq, hyp_terminating_exact
 
 _GUARD = 64
+# the locator's bits beyond precision + _GUARD: its Newton noise is R's
+# monomial-basis condition (about 2^77 at n = 400) times 2^-width
+_LOCATOR_BITS = 32
 
 
 # ---------------------------------------------------------------------------
 # root finding
 
-def _eval_with_derivative(coeffs, z):
-    p = coeffs[-1]
-    dp = mp.mpf(0)
-    for c in reversed(coeffs[:-1]):
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
+@lru_cache(maxsize=1)
 def _half_polynomial(p: RationalPolynomial) -> Tuple[int, RationalPolynomial]:
     """(e, R) with p(1/2 + it) = (it)^e R(t^2), or DomainError when
-    p(1-s) != +-p(s), so that p(1/2 + x) mixes even and odd powers."""
+    p(1-s) != +-p(s), so that p(1/2 + x) mixes even and odd powers.  The
+    last one is kept, as a report asks for it twice."""
     c = poly_affine_substitute(p, Fraction(1), Fraction(1, 2)).coefficients
     e = p.degree % 2
     if any(c[1 - e::2]):
@@ -68,31 +68,54 @@ def _half_polynomial(p: RationalPolynomial) -> Tuple[int, RationalPolynomial]:
     return e, RationalPolynomial(-v if j % 2 else v for j, v in enumerate(c[e::2]))
 
 
-def _newton_maehly(a, y: mp.mpf, found: List[mp.mpf], workprec: int) -> Optional[mp.mpf]:
-    """Newton on the real coefficient list a from y, with the roots in found
-    divided out implicitly, or None when it does not settle.  It stops at
-    an exact zero, at a step that fails to shrink (the floor of evaluation
-    noise) or at one below |y| 2^-(workprec-8)."""
-    floor = mp.mpf(2) ** (-(workprec - 8))
-    last = mp.inf
-    for _ in range(64 + 8 * (len(a) - 1)):
-        v, dv = _eval_with_derivative(a, y)
+def _scale(r: RationalPolynomial, width: int) -> int:
+    """k with 2^-k at most 2^-width times each root of r when every root is
+    positive, since the smallest is at least 1/sum(1/y) = -N_0/N_1."""
+    n0, n1 = (r._nums + (0,))[:2]
+    return width + max(0, n1.bit_length() - n0.bit_length() + 1)
+
+
+def _height(y: int, k: int) -> mp.mpf:
+    """sqrt(y 2^-k), floored at 2^-k."""
+    return mp.make_mpf(from_man_exp(math.isqrt(y << k), -k))
+
+
+def _newton_maehly(r: RationalPolynomial, y: int, found: List[int], k: int,
+                   width: int) -> Optional[int]:
+    """Newton on r from y 2^-k with the roots in found (also at 2^-k)
+    divided out implicitly, or None when it does not settle or meets 0 or
+    a root in found.  All of it runs on integers at the one scale 2^-k:
+    the iterate, the step r/r' from `RationalPolynomial.fixed_eval` at
+    width bits, the Maehly sum sum 1/(y - z) and the stop tests.  It stops
+    at a zero of the truncated value, at a step that fails to shrink (the
+    floor of evaluation noise) or at one below y 2^-(width-8)."""
+    last = math.inf
+    for _ in range(64 + 8 * r.degree):
+        if y == 0 or y in found:
+            return None
+        (v, _, dv, _), _, e = r.fixed_eval(y, 0, k, width, True, widen=False)
         if v == 0:
             return y
-        if dv == 0:
+        # r/r' = 2^e v/dv and sigma = 2^k sum 1/(y - z) at 2^-k, so the
+        # Maehly step r/(r' - r sum 1/(y - z)) is, at 2^-k,
+        # 2^(e+2k) v / (dv 2^k - 2^e v sigma)
+        sigma = sum((1 << 2 * k) // (y - z) for z in found)
+        up, down = max(e, 0), max(-e, 0)
+        den = (dv << (k + down)) - ((v * sigma) << up)
+        if den == 0:
             return None
-        step = v / dv
-        step /= 1 - step * mp.fsum(1 / (y - z) for z in found)
+        step = (v << (2 * k + up)) // den
         y -= step
-        if abs(step) >= last or abs(step) <= abs(y) * floor:
+        if abs(step) >= last or abs(step) << (width - 8) <= abs(y):
             return y
         last = abs(step)
     return None
 
 
-def _descending_real_roots(r: RationalPolynomial, workprec: int) -> Optional[List[mp.mpf]]:
-    """The deg r roots of r, largest first, by Newton-Maehly (Newton on r
-    with the roots already found divided out implicitly), or None.
+def _descending_real_roots(r: RationalPolynomial, k: int, width: int) -> Optional[List[int]]:
+    """The deg r roots of r at 2^-k, largest first, by Newton-Maehly
+    (Newton on r with the roots already found divided out implicitly), or
+    None.
 
     If every root is real and positive each search starts above the root
     it is after, where the steps shrink monotonically: the first just
@@ -100,21 +123,19 @@ def _descending_real_roots(r: RationalPolynomial, workprec: int) -> Optional[Lis
     found or just above the sum of the roots still missing.  A root that
     is not positive ends the search.  Nothing here is trusted; the caller
     proves the result exactly."""
-    k = r.degree
-    a = [rational_to_mpf(c, workprec) for c in r.coefficients]
-    total = -a[k - 1] / a[k]
+    nums, d = r._nums, r.degree
+    total = (-nums[d - 1] << k) // nums[d]
     if not total > 0:
         return None
-    above = 1 + mp.mpf(2) ** -16
-    below = 1 - mp.mpf(2) ** (-(workprec // 4))
-    found: List[mp.mpf] = []
-    y = total * above
-    for _ in range(k):
-        y = _newton_maehly(a, y, found, workprec)
-        if y is None or not y > 0:
+    found: List[int] = []
+    y = total + (total >> 16)
+    for _ in range(d):
+        y = _newton_maehly(r, y, found, k, width)
+        if y is None or y <= 0:
             return None
         found.append(y)
-        y = min(y * below, (total - mp.fsum(found)) * above)
+        total -= y
+        y = min(y - (y >> (width // 4)), total + (total >> 16))
     return found
 
 
@@ -143,9 +164,11 @@ def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -
     The domain is the polynomials with p(1-s) = +-p(s), as every factor
     p_n^m; any other p raises DomainError.  With p(1/2 + it) = (it)^e R(t^2)
     the roots of p are 1/2 +- i sqrt(y) for the roots y of R, plus 1/2 when
-    e = 1.  The roots of R are located in real arithmetic and proven by the
-    exact sign alternation of R at dyadic points, which shows that R has
-    deg R distinct positive roots; no tolerance enters the proof.  When the
+    e = 1.  The roots of R are located by Newton-Maehly on integers at one
+    fixed scale 2^-k, each step r/r' from the fixed-point Horner with its
+    derivative at width precision_bits + 96, and proven by the exact sign
+    alternation of R at dyadic points, which shows that R has deg R
+    distinct positive roots; no tolerance enters the proof.  When the
     proof fails (a root off the line, a multiple root, or a locator that
     does not settle) it raises ConvergenceError.  R is real-rooted for
     every p_n^m, as the paper shows through its continuous-Hahn bridge
@@ -156,20 +179,21 @@ def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -
     if p.degree == 0:
         return []
     e, r = _half_polynomial(p)
-    workprec = precision_bits + _GUARD
-    with mp.workprec(workprec):
-        located: List[mp.mpf] = []
+    width = precision_bits + _GUARD + _LOCATOR_BITS
+    heights: List[mp.mpf] = []
+    with mp.workprec(width):
         if r.degree > 0:
-            found = _descending_real_roots(r, workprec)
+            k = _scale(r, width)
+            found = _descending_real_roots(r, k, width)
             if found is None:
                 raise ConvergenceError(
                     "no deg R positive roots located on the half-polynomial: a root "
                     "off Re s = 1/2, a multiple root, or a locator that did not settle")
-            located = found[::-1]
-            if not _sign_alternation_proves(r, located):
+            ys = found[::-1]
+            if not _sign_alternation_proves(r, [mp.make_mpf(from_man_exp(y, -k)) for y in ys]):
                 raise ConvergenceError(
                     "the exact sign proof failed: a root off Re s = 1/2 or a multiple root")
-        heights = [mp.sqrt(y) for y in located]
+            heights = [_height(y, k) for y in ys]
         imag = [-h for h in reversed(heights)] + [mp.mpf(0)] * e + heights
         return [HPComplex(Fraction(1, 2), t, precision_bits) for t in imag]
 
@@ -199,46 +223,46 @@ def critical_line_report(n: int, m: int = 0,
 
     The roots come from one `find_roots` call, which proves them simple and
     on the line by exact sign alternation.  The report adds each root's
-    Newton residual on p and a cross-check on the half-polynomial R of
-    p(1/2 + it) = (it)^e R(t^2): each root's t^2 is re-polished by real
-    Newton on R, with no deflation, and its square root rounded to
-    precision_bits is compared with t.  A cross-check that does not settle
-    raises ConvergenceError."""
-    closed = poly_factor(n, m)
-    p = closed.poly
+    Newton residual |p(r)/p'(r)| on p and a cross-check on the
+    half-polynomial R of p(1/2 + it) = (it)^e R(t^2): each root's t^2 is
+    re-polished by real Newton on R, with no deflation, and its square root
+    rounded to precision_bits is compared with t.  A cross-check that does
+    not settle raises ConvergenceError.  Both run on integers: the residual
+    at the dyadic root r from one widened fixed-point pass on p with its
+    derivative, good to 2^-64 relative (a conjugate pair shares it, and
+    p(1/2) = 0 exactly when e = 1), and the cross-check by the locator's
+    own Newton on R at its scale and width."""
+    p = poly_factor(n, m).poly
     if p.degree < 1:
         raise DomainError(f"(n, m) = ({n}, {m}) has a constant polynomial factor")
     roots = find_roots(p, precision_bits)
-    workprec = precision_bits + _GUARD
-    with mp.workprec(workprec):
-        # Newton residual |p/p'| of the monic p: invariant under coefficient
-        # scaling, so it stays comparable across n even though the raw
-        # coefficients explode.
-        vals = [rational_to_mpf(c, workprec) for c in p.coefficients]
-        coeffs = [c / vals[-1] for c in vals]
-        half_coeffs = [rational_to_mpf(c, workprec)
-                       for c in _half_polynomial(p)[1].coefficients]
-        half = mp.mpf(1) / 2
-        residuals = []
-        shift_deviation = mp.mpf(0)
-        for r in roots:
-            z = r.to_mpc()
-            pv, dpv = _eval_with_derivative(coeffs, z)
-            residuals.append(abs(pv / dpv) if dpv != 0 else abs(pv))
-            if not r.imag > 0:
-                continue  # 1/2 - it has the t^2 of 1/2 + it; 1/2 is exact
-            y = _newton_maehly(half_coeffs, r.imag ** 2, [], workprec)
-            if y is None or not y > 0:
+    r = _half_polynomial(p)[1]
+    width = precision_bits + _GUARD + _LOCATOR_BITS
+    k = _scale(r, width)
+    half = len(roots) // 2
+    upper = []  # 1/2 - it has the residual and the t^2 of 1/2 + it
+    shift_deviation = mp.mpf(0)
+    with mp.workprec(precision_bits + _GUARD):
+        for root in roots[half:]:
+            if not root.imag:
+                upper.append(mp.mpf(0))  # p(1/2) = 0 exactly when e = 1
+                continue
+            point = _fixed_parts(*root.to_mpc()._mpc_)
+            (vr, vi, dr, di), _, e = p.fixed_eval(*point, _GUARD, True)
+            upper.append(mp.ldexp(mp.sqrt(mp.mpf(vr * vr + vi * vi) / (dr * dr + di * di)), e)
+                         if dr or di else mp.inf)
+            t = root.imag._mpf_
+            y = _newton_maehly(r, to_int(mpf_shift(mpf_mul(t, t), k)), [], k, width)
+            if y is None or y <= 0:
                 raise ConvergenceError(
-                    f"the cross-check on R did not settle at t = {mp.nstr(r.imag, 15)}")
-            moved = HPComplex(Fraction(1, 2), mp.sqrt(y), precision_bits)
-            shift_deviation = max(shift_deviation, abs(moved.imag - r.imag))
-        residuals = tuple(residuals)
-        max_deviation = max(abs(r.to_mpc().real - half) for r in roots)
+                    f"the cross-check on R did not settle at t = {mp.nstr(root.imag, 15)}")
+            moved = HPComplex(Fraction(1, 2), _height(y, k), precision_bits)
+            shift_deviation = max(shift_deviation, abs(moved.imag - root.imag))
+        max_deviation = max(abs(root.real - mp.mpf(1) / 2) for root in roots)
     return ZeroReport(
-        n=n, m=m, roots=tuple(roots), residuals=residuals,
-        max_deviation=mp.mpf(max_deviation), precision_bits=precision_bits,
-        shift_deviation=mp.mpf(shift_deviation),
+        n=n, m=m, roots=tuple(roots), residuals=tuple(upper[::-1][:half] + upper),
+        max_deviation=max_deviation,
+        precision_bits=precision_bits, shift_deviation=shift_deviation,
     )
 
 

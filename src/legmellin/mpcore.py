@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import ceil, floor, gcd, lcm, log2
 from typing import Iterable, Optional, Sequence, Union
 
@@ -297,17 +298,24 @@ def exact_or_none(value) -> Optional[GaussianRational]:
 
 
 def fixed_point_horner(coeffs_re: Sequence[int], coeffs_im: Sequence[int],
-                       x: int, y: int, k: int) -> tuple[int, int]:
-    """Horner for sum_j c_j w^j at w = (x + iy) 2^-k, k >= 0, on integers:
-    c_j = coeffs_re[j] + i coeffs_im[j] at a scale the caller chooses, each
-    product by w floored back to it.  A step errs by under one unit in each
-    part, and the error made where c_j is added is carried by w^j, so with d
-    the degree the result is within sqrt(2) sum_{j<d} |w|^j units (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed. 2002, 5.1)."""
-    ar = ai = 0
+                       x: int, y: int, k: int, derivative: bool = False) -> tuple[int, ...]:
+    """Horner for p(w) = sum_j c_j w^j at w = (x + iy) 2^-k, k >= 0, on
+    integers: c_j = coeffs_re[j] + i coeffs_im[j] at a scale the caller
+    chooses, each product by w floored back to it.  A step errs by under one
+    unit in each part, and the error made where c_j is added is carried by
+    w^j, so with d the degree the result is within sqrt(2) sum_{j<d} |w|^j
+    units (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.
+    2002, 5.1).  With derivative, the same pass also carries p' (q <- q w + a
+    before each step) and returns (Re p, Im p, Re p', Im p').  Its value is
+    the exact Horner of coefficients moved by under one unit per part, and
+    each floored q w errs by one more carried by w^j, so p' is within
+    sqrt(2) sum_{j<d-1} (j + 2) |w|^j units."""
+    ar = ai = dr = di = 0
     for cr, ci in zip(reversed(coeffs_re), reversed(coeffs_im)):
+        if derivative:
+            dr, di = ((dr * x - di * y) >> k) + ar, ((dr * y + di * x) >> k) + ai
         ar, ai = ((ar * x - ai * y) >> k) + cr, ((ar * y + ai * x) >> k) + ci
-    return ar, ai
+    return (ar, ai, dr, di) if derivative else (ar, ai)
 
 
 def _fixed_parts(re: tuple, im: tuple) -> tuple[int, int, int]:
@@ -453,36 +461,52 @@ class RationalPolynomial:
         return (value > 0) - (value < 0)
 
     def eval_mpc(self, s, precision_bits: int = DEFAULT_PRECISION) -> mp.mpc:
-        """p(s) rounded to w = precision_bits + FIXED_GUARD_BITS bits.
-
-        With s read at w bits as (X + iY) 2^-k, fixed_point_horner runs on
-        the numerators N_j 2^W, and its result A is divided by D 2^W once.
-        Its truncation bound is 2^T units, T = 1/2 + log2 d + (d-1) log2
-        max(1, |s|); at W = d k no shift drops a set bit, and A is exact.
-        Width rule: W starts at w + T + 2 - log2 max_j |N_j| |s|^j (at least
-        0, at most d k); while A has fewer than w + T + 2 bits, which is the
-        sum cancelling, W grows by the shortfall and the pass reruns.  An
-        accepted A is within 2^-w relative of D p(s) 2^W.
-        """
+        """p(s) rounded to w = precision_bits + FIXED_GUARD_BITS bits: s read
+        at w bits, D p(s) 2^W from `fixed_eval` within 2^-w relative, and one
+        division by D 2^W."""
         width = precision_bits + FIXED_GUARD_BITS
-        x, y, k = _fixed_parts(*to_mpc(s, width)._mpc_)
-        nums, d = self._nums, self.degree
-        shift = need = 0
-        top = d * k
-        if top > 0:
-            log_z = log2(x * x + y * y) / 2 - k
-            need = width + 2 + ceil(0.5 + log2(d) + (d - 1) * max(0.0, log_z))
-            shift = need - floor(max(c.bit_length() - 1 + j * log_z for j, c in enumerate(nums)))
-        while True:
-            shift = max(0, min(shift, top))
-            parts = fixed_point_horner([c << shift for c in nums], (0,) * len(nums), x, y, k)
-            short = need - max(abs(v) for v in parts).bit_length()
-            if shift == top or short <= 0:
-                break
-            shift += short
+        parts, shift, _ = self.fixed_eval(*_fixed_parts(*to_mpc(s, width)._mpc_), width)
         return mp.make_mpc(tuple(
             mpf_shift(mpf_div(from_int(v), from_int(self._den), width, round_nearest), -shift)
             for v in parts))
+
+    def fixed_eval(self, x: int, y: int, k: int, width: int, derivative: bool = False,
+                   widen: bool = True) -> tuple[tuple[int, ...], int, int]:
+        """p at z = (x + iy) 2^-k, and with derivative p' too, on integers:
+        (parts, W, e) with parts (Re V, Im V) or (Re V, Im V, Re V', Im V'),
+        V = D p(z) 2^W and V' = D p'(z) 2^(W+e).
+
+        z is scaled to u = z 2^-e, 1/2 <= |u| < 1, and fixed_point_horner
+        runs at u on the numerators N_j 2^(W + e j), floored, so each result
+        is within 4 d^2 units: the kernel's bounds at |u| < 1 plus under one
+        unit per floored coefficient.  Width rule, with T = 2 + 2 log2 d: W
+        starts at width + T + 2 - log2 max_j |N_j| |z|^j, so V is within
+        2^-(width+2) of the largest term.  With widen, W starts 32 bits
+        higher, an allowance for cancellation that spares most reruns, and
+        while a result has fewer than width + T + 2 bits (the sum
+        cancelling), W grows by the shortfall and the pass reruns, up to the
+        width d (k + max(0, -e)) at which no bit is dropped; an accepted
+        result is within 2^-width relative.  At z = 0 or d < 1 that exact
+        pass is the only one."""
+        nums, d = self._nums, self.degree
+        size = x * x + y * y
+        scale = (size.bit_length() + 1) // 2
+        e = scale - k
+        need = shift = top = d * (scale + max(0, -e))
+        if d > 0 and size:
+            need = width + 4 + ceil(2 * log2(d))
+            log_z = log2(size) / 2 - k
+            top_term = floor(max(c.bit_length() - 1 + j * log_z for j, c in enumerate(nums)))
+            shift = need + (32 if widen else 0) - top_term
+        while True:
+            shift = min(shift, top)
+            coeffs = [c << s if s >= 0 else c >> -s for c, s in zip(nums, count(shift, e))]
+            parts = fixed_point_horner(coeffs, (0,) * len(nums), x, y, scale, derivative)
+            short = need - min(max(abs(parts[i]), abs(parts[i + 1])).bit_length()
+                               for i in range(0, len(parts), 2))
+            if not widen or shift == top or short <= 0:
+                return parts, shift, e
+            shift += short
 
     def __repr__(self):
         return f"RationalPolynomial({[str(c) for c in self.coefficients]})"

@@ -199,6 +199,56 @@ def test_line_roots_of_planted_heights(heights, centre, bits):
             assert abs(r.imag - t) <= mp.mpf(2) ** (16 - bits) * abs(r.to_mpc())
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("centre", [False, True])
+@pytest.mark.parametrize("heights", [
+    [Fraction(3, 5 * 2 ** 19), Fraction(5, 7), Fraction(2 ** 40 + 3)],
+    [Fraction(3, 7 * 2 ** 159), Fraction(2), Fraction(9 * 2 ** 17)],
+], ids=["2^-20", "2^-160"])
+def test_line_roots_of_planted_heights_far_apart(heights, centre, bits):
+    # R has roots near 2^-20 and 2^40, or near 2^-160 and 2^20.  The locator
+    # runs at one absolute scale 2^-k, and k grows by -log2 of R's smallest
+    # root (at least -N_0/N_1), so a tiny root keeps its relative bits
+    p = RationalPolynomial([Fraction(-1, 2), 1]) if centre else RationalPolynomial.one()
+    for y in heights:
+        p = p * RationalPolynomial([Fraction(1, 4) + y, -1, 1])
+    roots = find_roots(p, bits)
+    assert len(roots) == p.degree
+    with mp.workprec(bits + 64):
+        want = sorted(sgn * mp.sqrt(mp.mpf(y.numerator) / y.denominator)
+                      for y in heights for sgn in (-1, 1))
+        if centre:
+            want = sorted(want + [mp.mpf(0)])
+        for r, t in zip(roots, want):
+            assert r.real == Fraction(1, 2)
+            assert abs(r.imag - t) <= mp.mpf(2) ** (16 - bits) * abs(t)
+
+
+def test_heights_of_p400_are_correctly_rounded():
+    # deg R = 100 and a monomial-basis condition of about 2^77: the locator
+    # keeps every 256-bit height correctly rounded (against a 512-bit run),
+    # and the cross-check on R moves none of them
+    report = critical_line_report(400, 0, 256)
+    reference = find_roots(poly_factor(400, 0).poly, 512)
+    assert report.shift_deviation == 0
+    with mp.workprec(256):
+        assert [r.imag for r in report.roots] == [+r.imag for r in reference]
+
+
+def test_report_builds_the_half_polynomial_once(monkeypatch):
+    calls = []
+    shift = criticality.poly_affine_substitute
+
+    def counted(*args):
+        calls.append(args)
+        return shift(*args)
+
+    monkeypatch.setattr(criticality, "poly_affine_substitute", counted)
+    criticality._half_polynomial.cache_clear()
+    critical_line_report(13, 0, 256)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # functional equation
 

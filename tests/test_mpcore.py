@@ -1,6 +1,7 @@
 """Core numeric types: exact rationals, high-precision complex, polynomials."""
 
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 import pytest
@@ -13,6 +14,7 @@ from legmellin.mpcore import (
     GaussianRational,
     HPComplex,
     RationalPolynomial,
+    _fixed_parts,
     as_rational,
     exact_or_none,
     fixed_point_horner,
@@ -424,6 +426,60 @@ def test_fixed_point_horner_is_within_its_truncation_bound(coeffs, parts, k, shi
         err = abs(mp.mpc(*got) - exact.to_mpc(4000))
         modulus = abs(w.to_mpc(4000))
         assert err <= mp.sqrt(2) * mp.fsum(modulus ** j for j in range(len(coeffs) - 1))
+
+
+def _integer_numerators(p):
+    den = lcm(*(c.denominator for c in p.coefficients))
+    return [int(c * den) for c in p.coefficients]
+
+
+def _exact_error(got_re, got_im, want):
+    # |got - want| for integer parts against an exact GaussianRational
+    return abs((GaussianRational(got_re, got_im) - want).to_mpc(256))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), nm=st.sampled_from([(2, 0), (12, 0), (61, 4), (120, 10), (800, 0)]),
+       bits=st.sampled_from([6, 64, 272]), real=st.booleans(), shift=st.integers(0, 64))
+def test_fixed_point_horner_derivative_is_within_its_truncation_bound(data, nm, bits, real, shift):
+    # p and p' from one pass against exact eval_gaussian of p and of
+    # p.derivative(): degree 1 to 400, real and complex dyadic w with short
+    # and full-width mantissas, |w| within 2^4 of 1 either way
+    nums = _integer_numerators(poly_factor(*nm).poly)
+    d = len(nums) - 1
+    if d == 400 and not real:
+        bits = min(bits, 64)  # an exact complex Horner of degree 400 is slow beyond
+    mantissa = st.integers(2 ** (bits - 1), 2 ** bits - 1).flatmap(
+        lambda v: st.sampled_from([v, -v]))
+    x, y = data.draw(mantissa), 0 if real else data.draw(mantissa)
+    k = data.draw(st.integers(bits - 4, bits + 4))
+    w = GaussianRational(Fraction(x, 2 ** k), Fraction(y, 2 ** k))
+    vr, vi, dr, di = fixed_point_horner([c << shift for c in nums], [0] * len(nums), x, y, k,
+                                        derivative=True)
+    p = RationalPolynomial(nums)
+    with mp.workprec(256):
+        modulus = abs(w.to_mpc(256))
+        assert _exact_error(vr, vi, p.eval_gaussian(w) * 2 ** shift) \
+            <= mp.sqrt(2) * mp.fsum(modulus ** j for j in range(d))
+        assert _exact_error(dr, di, p.derivative().eval_gaussian(w) * 2 ** shift) \
+            <= mp.sqrt(2) * mp.fsum((j + 2) * modulus ** j for j in range(d - 1))
+
+
+@pytest.mark.parametrize("n, m", [(12, 0), (61, 4), (200, 0)])
+def test_fixed_eval_ratio_is_within_its_bound(n, m):
+    # widened, p/p' = 2^e V / V' to 2^-(width-1) relative, also at the
+    # rounded roots, where p cancels by about the precision
+    p = poly_factor(n, m).poly
+    points = [r.to_mpc() for r in find_roots(p, 128)[::7]]
+    points += [mp.mpc(3, 50), mp.mpc(0.5, 2 ** -10)]
+    width = 64
+    for z in points:
+        g = _gaussian(z)
+        want = p.eval_gaussian(g) / p.derivative().eval_gaussian(g)
+        (vr, vi, dr, di), _, e = p.fixed_eval(*_fixed_parts(*z._mpc_), width, True)
+        with mp.workprec(256):
+            got = mp.mpc(vr, vi) / mp.mpc(dr, di) * mp.mpf(2) ** e
+            assert abs(got - want.to_mpc(256)) <= mp.mpf(2) ** -(width - 1) * abs(got), z
 
 
 def test_sign_at_reads_the_exact_sign_and_zero():

@@ -45,7 +45,7 @@ from .mpcore import (
     poly_affine_substitute,
     to_mpc,
 )
-from .specfun import HypergeometricSpec, hyp_pfq, hyp_terminating_exact
+from .specfun import HypergeometricSpec, hyp_pfq, hyp_terminating_exact, pochhammer_rational
 
 _GUARD = 64
 # the locator's bits beyond precision + _GUARD: its Newton noise is R's
@@ -350,13 +350,6 @@ class HahnParams:
     d: object
 
 
-def _pochhammer_gaussian(g: GaussianRational, k: int) -> GaussianRational:
-    out = GaussianRational(1)
-    for i in range(k):
-        out = out * (g + i)
-    return out
-
-
 def hahn_eval_exact(n: int, x, params: HahnParams) -> GaussianRational:
     """p_n(x; a, b, c, d) = i^n (a+c)_n (a+d)_n / n! *
     3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1), summed exactly."""
@@ -371,13 +364,15 @@ def hahn_eval_exact(n: int, x, params: HahnParams) -> GaussianRational:
     series = hyp_terminating_exact(HypergeometricSpec(
         (GaussianRational(-n), ga + gb + gc + gd + (n - 1), a_plus_ix),
         (ga + gc, ga + gd), GaussianRational(1)))
-    lead = GaussianRational.i_power(n) * _pochhammer_gaussian(ga + gc, n) \
-        * _pochhammer_gaussian(ga + gd, n) / math.factorial(n)
+    lead = GaussianRational.i_power(n) * pochhammer_rational(ga + gc, n) \
+        * pochhammer_rational(ga + gd, n) / math.factorial(n)
     return lead * series
 
 
 def hahn_eval(n: int, x, params: HahnParams,
               precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
+    if n < 0:
+        raise DomainError("hahn_eval requires n >= 0")
     exactable = all(exact_or_none(v) is not None
                     for v in (params.a, params.b, params.c, params.d)) \
         and exact_or_none(x) is not None

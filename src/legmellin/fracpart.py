@@ -152,10 +152,6 @@ class ZetaCombination:
             return HPComplex.from_value(total / den, precision_bits)
 
 
-def _poly(*ascending) -> RationalPolynomial:
-    return RationalPolynomial(tuple(Fraction(c) for c in ascending))
-
-
 def moment_combination(alpha: int, beta: int) -> ZetaCombination:
     """Zeta-combination for int_0^1 {1/t}^alpha [1/t]^beta t^(s-1) dt.
 
@@ -169,20 +165,20 @@ def moment_combination(alpha: int, beta: int) -> ZetaCombination:
         raise DomainError("beta must be a nonnegative integer")
     n = beta
     if alpha == 1:
-        denominator = _poly(0, -1, 1)  # s(s-1)
+        denominator = RationalPolynomial((0, -1, 1))  # s(s-1)
         if n == 0:
             # 1/(s-1) - zeta(s)/s  ==  (s + (1-s) zeta(s)) / (s(s-1))
             return ZetaCombination(
-                terms=((0, _poly(1, -1)),),
+                terms=((0, RationalPolynomial((1, -1))),),
                 denominator=denominator,
-                rational_numerator=_poly(0, 1),
+                rational_numerator=RationalPolynomial((0, 1)),
             )
         sign = -1 if n % 2 == 0 else 1
-        terms = [(0, _poly(-sign, sign))]  # (-1)^(n+1) (s-1)
+        terms = [(0, RationalPolynomial((-sign, sign)))]  # (-1)^(n+1) (s-1)
         for j in range(1, n + 1):
             sgn = (-1) ** (n - j)
             const = math.comb(n, j - 1) + math.comb(n, j)
-            terms.append((j, _poly(sgn * const, -sgn * math.comb(n, j))))
+            terms.append((j, RationalPolynomial((sgn * const, -sgn * math.comb(n, j)))))
         return ZetaCombination(terms=tuple(terms), denominator=denominator)
     if n == 0:
         raise DomainError(
@@ -190,19 +186,19 @@ def moment_combination(alpha: int, beta: int) -> ZetaCombination:
         )
     # alpha == 2: accumulate three shifted bands of binomial coefficients
     coeffs = {j: RationalPolynomial.zero() for j in range(n + 2)}
-    s_minus_1 = _poly(-1, 1)
-    s_minus_2 = _poly(-2, 1)
+    s_minus_1 = RationalPolynomial((-1, 1))
+    s_minus_2 = RationalPolynomial((-2, 1))
     for ell in range(n + 1):
         c = (-1) ** (n - ell) * math.comb(n, ell)
         coeffs[ell] = coeffs[ell] - (s_minus_1 * s_minus_2).scale(c)
         coeffs[ell + 1] = coeffs[ell + 1] - s_minus_2.scale(2 * c)
         if ell <= n - 1:
-            coeffs[ell + 2] = coeffs[ell + 2] - _poly(2 * c)
+            coeffs[ell + 2] = coeffs[ell + 2] - RationalPolynomial((2 * c,))
     terms = tuple(
         (j, poly) for j, poly in sorted(coeffs.items()) if not poly.is_zero
     )
     return ZetaCombination(
-        terms=terms, denominator=_poly(0, 2, -3, 1)  # s(s-1)(s-2)
+        terms=terms, denominator=RationalPolynomial((0, 2, -3, 1))  # s(s-1)(s-2)
     )
 
 

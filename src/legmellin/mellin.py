@@ -203,9 +203,10 @@ def _odd_order_exact(n: int, m: int, s: Fraction) -> Fraction:
     return Fraction(walked, scale * factorial(n - m))
 
 
-def _float_walk(n: int, m: int, a: mp.mpc, first: mp.mpc) -> mp.mpc:
-    """M_n^m(s) at the ambient precision from first = M_m^m(s') at a = s'/2,
-    s' = s + (n-m) mod 2.  Every seed is a constant times
+def _seeded_walk(n: int, m: int, s: mp.mpc) -> mp.mpc:
+    """M_n^m(s) at the ambient precision by the degree walk from M_m^m(s')
+    at a = s'/2, s' = s + (n-m) mod 2: a Beta-integral gamma ratio for even
+    m, a Pochhammer ratio for odd m.  Every seed is a constant times
     Gamma(a)/Gamma(a + (m+1)/2), so the others follow from the exact ratio
     seed(a+1) = seed(a) a/(a + (m+1)/2).  Their real and imaginary parts are
     walked separately as integers at 2^S, the headroom S putting
@@ -213,7 +214,16 @@ def _float_walk(n: int, m: int, a: mp.mpc, first: mp.mpc) -> mp.mpc:
     seed: the integers carry the working precision plus the seeds' binade
     range plus the guard.
     """
+    a = (s + (n - m) % 2) / 2
     h = mp.mpf(m + 1) / 2
+    if m % 2 == 1:
+        first = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1) \
+            / mp.power(2, (m + 1) // 2)
+        for j in range((m + 1) // 2):
+            first /= a + j
+    else:
+        first = double_factorial(2 * m - 1) * double_factorial(m - 1) \
+            * mp.sqrt(mp.pi) / mp.power(2, m // 2 + 1) * mp.gamma(a) * mp.rgamma(a + h)
     seeds = [first]
     for _ in range((n - m) // 2):
         seeds.append(seeds[-1] * a / (a + h))
@@ -225,27 +235,13 @@ def _float_walk(n: int, m: int, a: mp.mpc, first: mp.mpc) -> mp.mpc:
     return mp.mpc(re, im) / mp.ldexp(factorial(n - m), shift)
 
 
-def _odd_order_float(n: int, m: int, s: mp.mpc) -> mp.mpc:
-    """M_n^m(s) for odd m at the ambient working precision."""
-    a = (s + (n - m) % 2) / 2
-    first = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1) \
-        / mp.power(2, (m + 1) // 2)
-    for j in range((m + 1) // 2):
-        first /= a + j
-    return _float_walk(n, m, a, first)
-
-
 def mellin_recursion_reference(n: int, m: int, s,
                                precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """M_n^m(s) built purely from the degree recursion on transform values.
 
-    Even m is seeded by the Beta-integral value of M_m^m,
-    (2m-1)!! (m-1)!! sqrt(pi) 2^-(m/2+1) Gamma(s/2) / Gamma((s+m+1)/2),
-    from one gamma/rgamma pair and the exact seed ratio; odd m reuses the
-    odd-order walk.  Both walk on integers, scaled by 2^S with the headroom
-    S of _float_walk and by (k-m)! at degree k as in _degree_walk.  The
-    polynomial factor never enters, so this is an independent check on
-    poly_factor.
+    Both parities walk from one seed (_seeded_walk) on integers, scaled by
+    2^S and by (k-m)! at degree k as in _degree_walk.  The polynomial
+    factor never enters, so this is an independent check on poly_factor.
 
     The value recursion loses up to about 1.25 bits per degree, and only
     the usual guard bits are added here: a caller that needs the result
@@ -253,18 +249,12 @@ def mellin_recursion_reference(n: int, m: int, s,
     """
     if n < 0 or m < 0:
         raise DomainError("requires n >= 0 and m >= 0")
-    if m > n:
-        return HPComplex(0, 0, precision_bits)
     workprec = precision_bits + GUARD_BITS
     z = _require_right_half_plane(s, workprec)
+    if m > n:
+        return HPComplex(0, 0, precision_bits)
     with mp.workprec(workprec):
-        if m % 2 == 1:
-            return HPComplex.from_value(_odd_order_float(n, m, z), precision_bits)
-        a = (z + (n - m) % 2) / 2
-        first = double_factorial(2 * m - 1) * double_factorial(m - 1) \
-            * mp.sqrt(mp.pi) / mp.power(2, m // 2 + 1) \
-            * mp.gamma(a) * mp.rgamma(a + mp.mpf(m + 1) / 2)
-        return HPComplex.from_value(_float_walk(n, m, a, first), precision_bits)
+        return HPComplex.from_value(_seeded_walk(n, m, z), precision_bits)
 
 
 def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
@@ -289,18 +279,20 @@ def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) ->
     workprec += (3 * n) // 2
     with mp.workprec(workprec):
         z = to_mpc(s, workprec)
-        return HPComplex.from_value(_odd_order_float(n, m, z), precision_bits)
+        return HPComplex.from_value(_seeded_walk(n, m, z), precision_bits)
 
 
 def mellin_odd_order_exact(n: int, m: int, s) -> Fraction:
     """Exact rational M_n^m(s) for odd m and rational s > 0."""
+    if n < 0 or m < 0:
+        raise DomainError("mellin_odd_order_exact requires n >= 0 and m >= 0")
     if m % 2 != 1:
         raise DomainError("exact rational route exists for odd m only")
-    if m > n:
-        return Fraction(0)
     sq = as_rational(s)
     if sq <= 0:
         raise DomainError("transform defined for s > 0")
+    if m > n:
+        return Fraction(0)
     return _odd_order_exact(n, m, sq)
 
 
@@ -398,15 +390,6 @@ def variant_is_quadrature(variant: RepVariant) -> bool:
     return variant in _QUADRATURE_VARIANTS
 
 
-def _require_order_zero(variant: RepVariant, m: int) -> None:
-    if m != 0:
-        raise DomainError(f"{variant.value} represents the m = 0 transform only")
-
-
-def _frac(a, b=1) -> Fraction:
-    return Fraction(a, b)
-
-
 def mellin_rep(
     variant: RepVariant,
     n: int,
@@ -452,29 +435,29 @@ def mellin_rep(
                 raise DomainError("odd-degree series representations need Re s > -1")
         else:
             _require_right_half_plane(s, workprec)
+        if m != 0 and variant not in (RepVariant.L8, RepVariant.COS_QUAD,
+                                      RepVariant.TANH_QUAD):
+            raise DomainError(f"{variant.value} represents the m = 0 transform only")
 
         if variant is RepVariant.L2A:
-            _require_order_zero(variant, m)
             if n % 2 != 1:
                 raise DomainError("L2a decomposes odd n = 2N+1")
             N = (n - 1) // 2
             pref = _half_pochhammer_ratio(sq, N, odd=True, workprec=workprec)
             f = hyp_pfq(HypergeometricSpec(
-                (_frac(1, 2), (sq + 1) / 2, sq / 2),
-                (sq / 2 - N, sq / 2 + _frac(2 * N + 3, 2)), 1), precision_bits + 8)
+                (Fraction(1, 2), (sq + 1) / 2, sq / 2),
+                (sq / 2 - N, sq / 2 + Fraction(2 * N + 3, 2)), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2B:
-            _require_order_zero(variant, m)
             if n % 2 != 0:
                 raise DomainError("L2b decomposes even n = 2N")
             N = n // 2
             pref = _half_pochhammer_ratio(sq, N, odd=False, workprec=workprec)
             f = hyp_pfq(HypergeometricSpec(
-                (_frac(1, 2), (sq + 1) / 2, sq / 2),
-                (sq / 2 - N + _frac(1, 2), sq / 2 + N + 1), 1), precision_bits + 8)
+                (Fraction(1, 2), (sq + 1) / 2, sq / 2),
+                (sq / 2 - N + Fraction(1, 2), sq / 2 + N + 1), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2C:
-            _require_order_zero(variant, m)
             if n % 2 != 0:
                 raise DomainError("L2c decomposes even n = 2N")
             N = n // 2
@@ -482,11 +465,10 @@ def mellin_rep(
                     / (mp.power(2, N + 1) * mp.factorial(N))
                     * mp.sqrt(mp.pi) * mp.gamma(z / 2) * mp.rgamma((z + 1) / 2))
             f = hyp_pfq(HypergeometricSpec(
-                (-N, N + _frac(1, 2), sq / 2),
-                (_frac(1, 2), (sq + 1) / 2), 1), precision_bits + 8)
+                (-N, N + Fraction(1, 2), sq / 2),
+                (Fraction(1, 2), (sq + 1) / 2), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2D:
-            _require_order_zero(variant, m)
             if n % 2 != 1:
                 raise DomainError("L2d decomposes odd n = 2N+1")
             N = (n - 1) // 2
@@ -494,11 +476,10 @@ def mellin_rep(
                     / (mp.power(2, N) * mp.factorial(N))
                     * mp.sqrt(mp.pi) * mp.gamma((z + 1) / 2) * mp.rgamma(z / 2) / z)
             f = hyp_pfq(HypergeometricSpec(
-                (-N, N + _frac(3, 2), (sq + 1) / 2),
-                (_frac(3, 2), sq / 2 + 1), 1), precision_bits + 8)
+                (-N, N + Fraction(3, 2), (sq + 1) / 2),
+                (Fraction(3, 2), sq / 2 + 1), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L2E:
-            _require_order_zero(variant, m)
             if n % 2 != 0:
                 raise DomainError("L2e expands even n only; odd n goes "
                                   "through L2a or L2d")
@@ -511,7 +492,6 @@ def mellin_rep(
                           * mp.rgamma((z - n + 1) / 2 + k))
             value = mp.pi * total / (2 * mp.factorial(n))
         elif variant is RepVariant.L3A:
-            _require_order_zero(variant, m)
             total = mp.mpc(0)
             for k in range(n // 2 + 1):
                 coeff = (-1) ** k * mp.mpf(mp.factorial(2 * n - 2 * k)) / (
@@ -519,29 +499,26 @@ def mellin_rep(
                 total += coeff * mp.beta((z + n) / 2 - k, mp.mpf(1) / 2)
             value = total / mp.power(2, n + 1)
         elif variant is RepVariant.L3B:
-            _require_order_zero(variant, m)
             pref = (mp.power(2, n - 1) * mp.gamma(n + mp.mpf(1) / 2)
                     * mp.gamma((n + z) / 2)
                     / (mp.factorial(n) * mp.gamma((n + z + 1) / 2)))
             f = hyp_pfq(HypergeometricSpec(
-                (_frac(1 - n, 2), _frac(-n, 2), (-sq + (1 - n)) / 2),
-                (_frac(1 - 2 * n, 2), 1 - (sq + n) / 2), 1), precision_bits + 8)
+                (Fraction(1 - n, 2), Fraction(-n, 2), (-sq + (1 - n)) / 2),
+                (Fraction(1 - 2 * n, 2), 1 - (sq + n) / 2), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.L3C:
-            _require_order_zero(variant, m)
             pref = (mp.sqrt(mp.pi) / 2 * mp.gamma((n + z) / 2)
                     * mp.rgamma((n + z + 1) / 2))
             f = hyp_pfq(HypergeometricSpec(
-                (_frac(1 - n, 2), _frac(-n, 2), _frac(1, 2)),
+                (Fraction(1 - n, 2), Fraction(-n, 2), Fraction(1, 2)),
                 (1, 1 - (sq + n) / 2), 1), precision_bits + 8)
             value = pref * f.to_mpc()
         elif variant is RepVariant.P1:
-            _require_order_zero(variant, m)
             pref = (mp.rgamma(mp.mpf(1) / 2) * mp.gamma((n + z) / 2)
                     * mp.rgamma((n + z + 1) / 2))
             # the 2F1 terminates for every n, so argument 1 is harmless
             poly = _fixed_point_poly(terminating_coefficients(
-                (_frac(1 - n, 2), _frac(-n, 2)), (1 - (sq + n) / 2,), precision_bits))
+                (Fraction(1 - n, 2), Fraction(-n, 2)), (1 - (sq + n) / 2,), precision_bits))
 
             def integrand(phi, dist_a, dist_b):
                 return poly(mp.cos(phi) ** 2)
@@ -550,7 +527,6 @@ def mellin_rep(
                              tolerance=mp.mpf(2) ** (-(precision_bits // 2 + 8)))
             value = pref * quad.value
         elif variant is RepVariant.P3:
-            _require_order_zero(variant, m)
             value = _p3_sum(n, sq, precision_bits)
         elif variant is RepVariant.L8:
             if m > n:
@@ -613,8 +589,8 @@ def _p3_sum(n: int, sq, precision_bits: int) -> mp.mpc:
         half = mp.mpf(1) / 2
         f = [None] * (n + 1)
         for k in range(max(n - 1, 0), n + 1):
-            f[k] = hyp_pfq(HypergeometricSpec((_frac(1, 2) + k - n, sq),
-                                              (_frac(1, 2) + k + sq,), -1),
+            f[k] = hyp_pfq(HypergeometricSpec((Fraction(1, 2) + k - n, sq),
+                                              (Fraction(1, 2) + k + sq,), -1),
                            bits + 8).to_mpc()
         for k in range(n - 1, 0, -1):
             c = k + half + z
@@ -740,13 +716,13 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
 
         shared = mp.sqrt(mp.pi) / mp.sqrt(1 + tv * tv)
         line1 = shared * mp.gamma(z / 2) / (2 * mp.gamma((z + 1) / 2)) * hyp_pfq(
-            HypergeometricSpec((_frac(1, 4), _frac(3, 4), sq / 2),
-                               (_frac(1, 2), (sq + 1) / 2), zz),
+            HypergeometricSpec((Fraction(1, 4), Fraction(3, 4), sq / 2),
+                               (Fraction(1, 2), (sq + 1) / 2), zz),
             precision_bits + 8).to_mpc()
         line2 = shared * (tv / (1 + tv * tv)) * mp.gamma((z + 1) / 2) / (
             z * mp.gamma(z / 2)) * hyp_pfq(
-            HypergeometricSpec((_frac(3, 4), _frac(5, 4), (sq + 1) / 2),
-                               (_frac(3, 2), sq / 2 + 1), zz),
+            HypergeometricSpec((Fraction(3, 4), Fraction(5, 4), (sq + 1) / 2),
+                               (Fraction(3, 2), sq / 2 + 1), zz),
             precision_bits + 8).to_mpc()
 
         tail = abs(tv) ** (N + 1) / ((1 - abs(tv)) * z.real)
@@ -766,6 +742,8 @@ def genfun(t, s, N: int, precision_bits: int = DEFAULT_PRECISION) -> GenfunCompa
 
 def order_one_reference(n: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """M_n^1(s) as the gamma-ratio-minus-one expression."""
+    if n < 0:
+        raise DomainError("order_one_reference requires n >= 0")
     workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         z = _require_right_half_plane(s, workprec)
@@ -776,6 +754,8 @@ def order_one_reference(n: int, s, precision_bits: int = DEFAULT_PRECISION) -> H
 
 def order_one_exact(n: int, s) -> Fraction:
     """Exact rational M_n^1(s): pochhammer ratio minus one."""
+    if n < 0:
+        raise DomainError("order_one_exact requires n >= 0")
     sq = as_rational(s)
     if sq <= 0:
         raise DomainError("defined for s > 0")
@@ -791,32 +771,15 @@ def order_one_exact(n: int, s) -> Fraction:
 
 
 def order_one_rationality_check(n: int) -> bool:
-    """Certify that M_n^1 is a rational function of s: exact
-    Lagrange interpolation of the numerator at deg+1 integer points, then
-    verification at 10 further points, all over Fractions."""
-    deg = n // 2 if n % 2 == 0 else (n + 1) // 2
+    """Certify that M_n^1 is the rational function order_one_exact gives.
 
-    def denominator(sq: Fraction) -> Fraction:
-        if n % 2 == 0:
-            return pochhammer_rational((sq + 1) / 2, n // 2)
-        return pochhammer_rational(sq / 2, (n + 1) // 2)
-
-    xs = [Fraction(i) for i in range(1, deg + 2)]
-    ys = [(mellin_odd_order_exact(n, 1, x) + 1) * denominator(x) for x in xs]
-
-    def interpolate(x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for i, xi in enumerate(xs):
-            li = Fraction(1)
-            for j, xj in enumerate(xs):
-                if i != j:
-                    li *= (x - xj) / (xi - xj)
-            total += ys[i] * li
-        return total
-
-    for i in range(10):
-        probe = Fraction(2 * i + 3, 2)
-        expected = (mellin_odd_order_exact(n, 1, probe) + 1) * denominator(probe)
-        if interpolate(probe) != expected:
-            return False
-    return True
+    The degree walk's exact M_n^1 is a sum of simple poles at the zeros of
+    the Pochhammer denominator D, of degree deg = ceil(n/2), so (M_n^1 + 1) D
+    is a polynomial of degree at most deg on both routes; agreeing at the
+    deg + 1 integers 1..deg+1 proves them equal, and ten half-integers
+    3/2..21/2 check it further, all over Fractions.
+    """
+    deg = (n + 1) // 2
+    points = [Fraction(i) for i in range(1, deg + 2)]
+    points += [Fraction(2 * i + 3, 2) for i in range(10)]
+    return all(mellin_odd_order_exact(n, 1, x) == order_one_exact(n, x) for x in points)

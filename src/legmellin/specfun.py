@@ -166,9 +166,12 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def pochhammer_rational(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    a = as_rational(a)
+def pochhammer_rational(a, k: int) -> Fraction | GaussianRational:
+    """(a)_k = a (a+1) ... (a+k-1), exactly, for rational or Gaussian-rational a."""
+    if isinstance(a, GaussianRational):
+        out = GaussianRational(1)
+    else:
+        out, a = Fraction(1), as_rational(a)
     for i in range(k):
         out *= a + i
     return out

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legmellin
-from legmellin import cli, criticality, suites
+from legmellin import cli, criticality, mellin, suites
 from legmellin.cli import PRECISION_ENV_VAR, run_command
 from legmellin.mpcore import DEFAULT_PRECISION
 from legmellin.mellin import (mellin_recursion_reference, order_one_exact,
@@ -437,6 +437,49 @@ def test_genfun_panel_matches_its_golden_transcript(capsys, monkeypatch):
     monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
     out = _transcript(capsys, GENFUN_PANEL)
     assert out == (GOLDEN / "genfun.txt").read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("suite, max_n", [("recursion", "12"), ("reps", "6"),
+                                          ("hahn", None), ("funceq", "12")])
+def test_verify_suite_matches_its_golden_transcript(capsys, monkeypatch, suite, max_n):
+    # the degree walk, the order-one check, the catalog's order guard, the
+    # exact Hahn bridge and the reflection rows, byte for byte
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    argv = ["verify", "--suite", suite] + (["--max-n", max_n] if max_n else [])
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"verify_{suite}.txt").read_bytes().decode("utf-8")
+
+
+ODD_ORDER_PANEL = [["mellin", "--n", str(n), "--m", str(m), "--s", s, "--precision", "128"]
+                   for m in (1, 3, 5) for n in (1, 20, 57, 150)
+                   for s in ("3/4", "7/3", "2+3i", "3/2-2i")]
+
+
+def test_odd_order_mellin_panel_matches_its_golden_transcript(capsys, monkeypatch):
+    # odd m: the exact rational walk at rational s, the seeded float walk
+    # at complex s, byte for byte up to degree 150
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    out = _transcript(capsys, ODD_ORDER_PANEL)
+    assert out == (GOLDEN / "mellin_odd_order.txt").read_bytes().decode("utf-8")
+
+
+def test_a_perturbed_walk_value_fails_the_order_one_row(capsys, monkeypatch):
+    # one exact M_n^1 off by 2^-40 at one point of the check
+    walk = mellin.mellin_odd_order_exact
+
+    def perturbed(n, m, s):
+        value = walk(n, m, s)
+        return value + Fraction(1, 2 ** 40) if (n, s) == (2, Fraction(7, 2)) else value
+
+    monkeypatch.setattr(mellin, "mellin_odd_order_exact", perturbed)
+    assert not mellin.order_one_rationality_check(2)
+    assert mellin.order_one_rationality_check(3)
+    code, out, _ = _run(capsys, ["verify", "--suite", "recursion", "--max-n", "3",
+                                 "--format", "json"])
+    assert code == 1
+    failed = {c["id"]: c["got"] for c in json.loads(out)["cases"] if not c["pass"]}
+    assert failed == {"recursion/order-one/n=002": "exact forms differ"}
 
 
 def test_unknown_suite_exits_two(capsys):

@@ -342,5 +342,12 @@ def test_hahn_eval_refuses_an_unreadable_string():
         hahn_eval(3, "2+3i", params)
 
 
+def test_hahn_eval_refuses_a_negative_degree_at_an_inexact_point():
+    # an inexact x takes the hypergeometric route, where n < 0 is a gamma pole
+    params = HahnParams(Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(1, 2) - 3)
+    with pytest.raises(DomainError, match="n >= 0"):
+        hahn_eval(-1, HPComplex.from_value(mp.mpc(0, -1.25), 128), params, 128)
+
+
 def test_hahn_spread_reads_mixed_exact_and_float_samples():
     assert hahn_proportionality(3, [Fraction(2), 2.5]) == hahn_proportionality(3, [2.0, 2.5])

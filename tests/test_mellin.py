@@ -157,6 +157,38 @@ def test_odd_order_rational_value():
         mellin_odd_order_exact(2, 2, Fraction(2))
 
 
+# each entry point refuses what mellin_closed refuses before it computes:
+# n < 0, m < 0, and s outside the right half plane even where m > n makes
+# the value an exact zero
+
+def test_recursion_reference_refuses_s_outside_the_domain_above_the_diagonal():
+    with pytest.raises(DomainError, match="Re s > 0"):
+        mellin_recursion_reference(1, 3, -5)
+
+
+@pytest.mark.parametrize("n, m, s", [(-3, 1, 2), (1, 3, -2), (2, -1, 2)])
+def test_odd_order_exact_refuses_what_mellin_closed_refuses(n, m, s):
+    with pytest.raises(DomainError):
+        mellin_closed(n, m, s)
+    with pytest.raises(DomainError):
+        mellin_odd_order_exact(n, m, s)
+
+
+def test_order_one_exact_refuses_a_negative_degree():
+    with pytest.raises(DomainError, match="n >= 0"):
+        order_one_exact(-1, 2)
+
+
+def test_order_one_reference_refuses_a_negative_degree():
+    with pytest.raises(DomainError, match="n >= 0"):
+        order_one_reference(-3, 2)
+
+
+def test_order_one_rationality_check_refuses_a_negative_degree():
+    with pytest.raises(DomainError, match="n >= 0"):
+        order_one_rationality_check(-2)
+
+
 def test_odd_order_closed_matches_exact():
     for n, m in ((1, 1), (3, 1), (5, 3), (6, 3)):
         exact = mellin_odd_order_exact(n, m, Fraction(7, 3))
@@ -344,6 +376,27 @@ def test_analytic_variants_close_over_parities():
                        RepVariant.L2D, RepVariant.L2E, RepVariant.L3A,
                        RepVariant.L3B, RepVariant.L3C, RepVariant.P3,
                        RepVariant.L8}
+
+
+@pytest.mark.parametrize("variant", [v for v in RepVariant if v not in (
+    RepVariant.L8, RepVariant.COS_QUAD, RepVariant.TANH_QUAD, RepVariant.GENFUN)],
+    ids=lambda v: v.value)
+def test_order_zero_variants_refuse_a_nonzero_order(variant):
+    # the order is checked before the variant's own parity rule
+    for n in (4, 5):
+        with pytest.raises(DomainError) as refused:
+            mellin_rep(variant, n, 2, Fraction(5, 2), 64)
+        assert str(refused.value) == f"{variant.value} represents the m = 0 transform only"
+
+
+@pytest.mark.parametrize("variant", [RepVariant.COS_QUAD, RepVariant.TANH_QUAD],
+                         ids=lambda v: v.value)
+def test_quadrature_variants_accept_a_nonzero_order(variant):
+    # L8's nonzero order is test_l8_supports_nonzero_order
+    got = mellin_rep(variant, 4, 2, Fraction(5, 2), 64)
+    want = mellin_closed(4, 2, Fraction(5, 2), 64)
+    with mp.workprec(128):
+        assert abs(got.to_mpc() - want.to_mpc()) < mp.mpf(10) ** -9
 
 
 def test_l8_supports_nonzero_order():

@@ -11,9 +11,9 @@ That R is real-rooted is the paper's theorem, reached through its
 continuous-Hahn bridge (`hahn_proportionality`).  Polynomials without the
 symmetry, and symmetric ones the proof does not cover, are refused with a
 typed error.  Newton residuals on p and a real Newton cross-check on R are
-reported, not relied on.  The locator, the residuals and the cross-check
-all evaluate through `RationalPolynomial.fixed_eval`, the fixed-point
-Horner with its derivative, on the integer numerators of p or R.
+reported, not relied on.  The locator, the sign proof, the residuals and
+the cross-check all evaluate through `RationalPolynomial.fixed_eval`, the
+fixed-point Horner, on the integer numerators of p or R.
 
 The functional-equation sign deserves a note.  A real-coefficient polynomial
 whose roots all sit on Re s = 1/2 satisfies p(1-s) = (-1)^(deg p) p(s), and
@@ -139,21 +139,20 @@ def _descending_real_roots(r: RationalPolynomial, k: int, width: int) -> Optiona
     return found
 
 
-def _sign_alternation_proves(r: RationalPolynomial, located: List[mp.mpf]) -> bool:
+def _sign_alternation_proves(r: RationalPolynomial, ys: List[int], k: int) -> bool:
     """Exact proof that r has exactly one root in each interval
-    (q_(j-1), q_j) around located[j-1], with q_0 = 0, q_j the midpoints of
-    the located roots and q_k = 2 * located[-1], k = deg r.
+    (q_(j-1), q_j) around ys[j-1] 2^-k, with q_0 = 0, q_j the midpoints of
+    the located roots and q_d = 2 ys[-1] 2^-k, d = deg r.
 
-    The q_j are dyadic, so the sign of r(q_j) is read exactly from an
-    integer Horner (RationalPolynomial.sign_at).  Nonzero signs that
-    alternate put, by the intermediate value theorem, a root of r in each
-    of the k intervals, and as r has degree k each holds exactly one."""
-    points = [mp.mpf(0)] + [(lo + hi) / 2 for lo, hi in zip(located, located[1:])]
-    points.append(2 * located[-1])
-    chain = [v for pair in zip(points, located) for v in pair] + points[-1:]
+    The q_j are integers at 2^-(k+1), and r's sign at each is read from
+    `RationalPolynomial.fixed_eval`, exact or beyond its truncation bound.
+    Nonzero signs that alternate put, by the intermediate value theorem, a
+    root of r in each of the d intervals, and r of degree d has no more."""
+    points = [0] + [lo + hi for lo, hi in zip(ys, ys[1:])] + [4 * ys[-1]]
+    chain = [v for q, y in zip(points, ys) for v in (q, 2 * y)] + points[-1:]
     if any(not lo < hi for lo, hi in zip(chain, chain[1:])):
         return False
-    signs = [r.sign_at(q) for q in points]
+    signs = [r.fixed_eval(q, 0, k + 1, _GUARD)[0][0] for q in points]
     return all(a * b < 0 for a, b in zip(signs, signs[1:]))
 
 
@@ -166,11 +165,12 @@ def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -
     the roots of p are 1/2 +- i sqrt(y) for the roots y of R, plus 1/2 when
     e = 1.  The roots of R are located by Newton-Maehly on integers at one
     fixed scale 2^-k, each step r/r' from the fixed-point Horner with its
-    derivative at width precision_bits + 96, and proven by the exact sign
-    alternation of R at dyadic points, which shows that R has deg R
-    distinct positive roots; no tolerance enters the proof.  When the
-    proof fails (a root off the line, a multiple root, or a locator that
-    does not settle) it raises ConvergenceError.  R is real-rooted for
+    derivative at width precision_bits + 96, and proven by the sign
+    alternation of R at the dyadic midpoints of those integers, each sign
+    from the same Horner (`_sign_alternation_proves`), which shows that R
+    has deg R distinct positive roots; no tolerance enters the proof.  When
+    the proof fails (a root off the line, a multiple root, or a locator
+    that does not settle) it raises ConvergenceError.  R is real-rooted for
     every p_n^m, as the paper shows through its continuous-Hahn bridge
     (`hahn_proportionality`: p_2n^0(s) is a constant times a continuous
     Hahn polynomial in x = -is/2); the code assumes none of that."""
@@ -190,7 +190,7 @@ def find_roots(p: RationalPolynomial, precision_bits: int = DEFAULT_PRECISION) -
                     "no deg R positive roots located on the half-polynomial: a root "
                     "off Re s = 1/2, a multiple root, or a locator that did not settle")
             ys = found[::-1]
-            if not _sign_alternation_proves(r, [mp.make_mpf(from_man_exp(y, -k)) for y in ys]):
+            if not _sign_alternation_proves(r, ys, k):
                 raise ConvergenceError(
                     "the exact sign proof failed: a root off Re s = 1/2 or a multiple root")
             heights = [_height(y, k) for y in ys]
@@ -371,13 +371,10 @@ def hahn_eval_exact(n: int, x, params: HahnParams) -> GaussianRational:
 
 def hahn_eval(n: int, x, params: HahnParams,
               precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
+    if all(exact_or_none(v) is not None for v in (params.a, params.b, params.c, params.d, x)):
+        return hahn_eval_exact(n, x, params).to_hpcomplex(precision_bits)
     if n < 0:
         raise DomainError("hahn_eval requires n >= 0")
-    exactable = all(exact_or_none(v) is not None
-                    for v in (params.a, params.b, params.c, params.d)) \
-        and exact_or_none(x) is not None
-    if exactable:
-        return hahn_eval_exact(n, x, params).to_hpcomplex(precision_bits)
     workprec = precision_bits + _GUARD
     with mp.workprec(workprec):
         xa = to_mpc(x, workprec)
@@ -397,12 +394,11 @@ def _bridge_params(n: int) -> HahnParams:
                       d=Fraction(1, 2) - n)
 
 
-def _bridge_point(s) -> GaussianRational:
-    """x = -i s / 2 for Gaussian-rational s."""
-    g = exact_or_none(s)
-    if g is None:
-        raise DomainError("exact bridge point needs a Gaussian-rational s")
-    return GaussianRational(0, Fraction(-1, 2)) * g
+def _hahn_ratio(n: int, s: GaussianRational) -> Optional[GaussianRational]:
+    """poly_factor(2n, 0)(s) / p_n(-is/2; -n, 0, 1/2, 1/2-n), exactly, or
+    None where the Hahn factor vanishes."""
+    denom = hahn_eval_exact(n, GaussianRational(0, Fraction(-1, 2)) * s, _bridge_params(n))
+    return None if denom.is_zero else poly_factor(2 * n, 0).poly.eval_gaussian(s) / denom
 
 
 def hahn_proportionality(n: int, samples: Sequence,
@@ -416,14 +412,12 @@ def hahn_proportionality(n: int, samples: Sequence,
     p = poly_factor(2 * n, 0).poly
     params = _bridge_params(n)
     ratios = []
-    exact_ok = all(exact_or_none(x) is not None for x in samples)
-    if exact_ok:
+    if all(exact_or_none(x) is not None for x in samples):
         for s in samples:
-            g = exact_or_none(s)
-            denom = hahn_eval_exact(n, _bridge_point(g), params)
-            if denom.is_zero:
+            ratio = _hahn_ratio(n, exact_or_none(s))
+            if ratio is None:
                 raise DomainError(f"sample {s} is a zero of the Hahn factor")
-            ratios.append(p.eval_gaussian(g) / denom)
+            ratios.append(ratio)
         with mp.workprec(precision_bits + _GUARD):
             return mp.mpf(max(abs((r - ratios[0]).to_mpc(precision_bits + _GUARD))
                               for r in ratios[1:]))
@@ -444,10 +438,8 @@ def hahn_constant(n: int) -> GaussianRational:
     never assumed."""
     if n < 1:
         raise DomainError("proportionality bridge needs n >= 1")
-    p = poly_factor(2 * n, 0).poly
-    params = _bridge_params(n)
     for candidate in (Fraction(2), Fraction(3), Fraction(5, 2)):
-        denom = hahn_eval_exact(n, _bridge_point(candidate), params)
-        if not denom.is_zero:
-            return GaussianRational(p.eval_rational(candidate)) / denom
+        ratio = _hahn_ratio(n, GaussianRational(candidate))
+        if ratio is not None:
+            return ratio
     raise DomainError("no generic sample found")  # pragma: no cover

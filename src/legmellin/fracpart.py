@@ -39,7 +39,7 @@ from .mpcore import (
     GUARD_BITS,
     HPComplex,
     RationalPolynomial,
-    exact_or_none,
+    rational_or_none,
     rational_to_mpf,
     to_mpc,
 )
@@ -49,12 +49,6 @@ _TAIL_GUARD = 64  # for the cancelling terms of _zeta_moment_integral
 _SERIES_BUDGET = 200_000
 _SEGMENTS = 12  # the oracles' quadrature stops at x = 1/_SEGMENTS
 _HEAD_TERMS = 64  # explicit terms of sublemma_sum_series before its fold
-
-
-def _rational_or_none(value) -> Optional[Fraction]:
-    """Exact real-rational reading of value, or None."""
-    g = exact_or_none(value)
-    return g.re if g is not None and g.im == 0 else None
 
 
 def _default_tolerance(precision_bits: int) -> mp.mpf:
@@ -126,7 +120,7 @@ class ZetaCombination:
 
     def evaluate(self, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
         workprec = precision_bits + GUARD_BITS
-        sr = _rational_or_none(s)
+        sr = rational_or_none(s)
         with mp.workprec(workprec):
             z = to_mpc(s, workprec)
             if sr is not None:
@@ -211,7 +205,7 @@ def frac_int_moments(
     cases tolerate the boundary integers s = beta + alpha where a zeta
     factor hits its pole but the combination stays finite.
     """
-    ar = _rational_or_none(spec.alpha)
+    ar = rational_or_none(spec.alpha)
     if ar is None or ar.denominator != 1 or int(ar) not in (1, 2):
         raise DomainError("closed moments require alpha in {1, 2}")
     alpha = int(ar)
@@ -305,7 +299,7 @@ def frac_general(s, b, alpha, precision_bits: int = DEFAULT_PRECISION) -> HPComp
     """
     workprec = precision_bits + GUARD_BITS
     z, bb = _weight_args(s, b, workprec)
-    if _rational_or_none(alpha) == 0:
+    if rational_or_none(alpha) == 0:
         return frac_basic(s, precision_bits)
     with mp.workprec(workprec):
         aa = to_mpc(alpha, workprec)
@@ -763,7 +757,7 @@ def fermi_bose_transform(
             terms = 2 * order + 2 * int(mp.ceil(abs(z)))
         if terms > _SERIES_BUDGET:
             raise ConvergenceError(f"the series needs {terms} terms")
-        sr = _rational_or_none(s)
+        sr = rational_or_none(s)
         closed = _transform_closed(kind, j, z, sr, workprec)
 
         def magnitude(n):
@@ -869,9 +863,9 @@ def numeric_fracpart_oracle(
         if not z.real > beta + max(0, aa.real - 1):
             raise DomainError("oracle needs Re s > beta + max(0, Re alpha - 1)")
         tol = _default_tolerance(precision_bits)
-        ar = _rational_or_none(spec.alpha)
+        ar = rational_or_none(spec.alpha)
         exact_alpha = int(ar) if ar is not None and ar.denominator == 1 and ar in (1, 2) else None
-        sr = _rational_or_none(spec.s)
+        sr = rational_or_none(spec.s)
         if exact_alpha is not None and sr in ((1,) if exact_alpha == 1 else (1, 2)):
             raise DomainError(
                 f"the exact inner integral degenerates at s = {sr}; "

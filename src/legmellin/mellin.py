@@ -26,9 +26,9 @@ from .mpcore import (
     GUARD_BITS,
     HPComplex,
     RationalPolynomial,
-    as_rational,
     exact_or_none,
     fixed_point_horner,
+    rational_or_none,
     to_mpc,
 )
 from .quadrature import tanh_sinh
@@ -259,8 +259,8 @@ def mellin_recursion_reference(n: int, m: int, s,
 
 def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
     """M_n^m(s) by the closed route: exact polynomial factor for even m,
-    degree recursion for odd m (over rationals when exact_or_none reads s
-    as an exact real); exact 0 for m > n."""
+    degree recursion for odd m (over rationals when rational_or_none reads
+    s as an exact real); exact 0 for m > n."""
     if n < 0 or m < 0:
         raise DomainError("mellin_closed requires n >= 0 and m >= 0")
     workprec = precision_bits + GUARD_BITS
@@ -269,9 +269,9 @@ def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) ->
         return HPComplex(0, 0, precision_bits)
     if m % 2 == 0:
         return poly_factor(n, m).evaluate(s, precision_bits)
-    g = exact_or_none(s)
-    if g is not None and g.im == 0:
-        exact = _odd_order_exact(n, m, g.re)
+    sq = rational_or_none(s)
+    if sq is not None:
+        exact = _odd_order_exact(n, m, sq)
         with mp.workprec(workprec):
             value = mp.mpf(exact.numerator) / exact.denominator
         return HPComplex.from_value(value, precision_bits)
@@ -288,9 +288,9 @@ def mellin_odd_order_exact(n: int, m: int, s) -> Fraction:
         raise DomainError("mellin_odd_order_exact requires n >= 0 and m >= 0")
     if m % 2 != 1:
         raise DomainError("exact rational route exists for odd m only")
-    sq = as_rational(s)
-    if sq <= 0:
-        raise DomainError("transform defined for s > 0")
+    sq = rational_or_none(s)
+    if sq is None or sq <= 0:
+        raise DomainError(f"transform defined for exact rational s > 0, got {s!r}")
     if m > n:
         return Fraction(0)
     return _odd_order_exact(n, m, sq)
@@ -753,20 +753,15 @@ def order_one_reference(n: int, s, precision_bits: int = DEFAULT_PRECISION) -> H
 
 
 def order_one_exact(n: int, s) -> Fraction:
-    """Exact rational M_n^1(s): pochhammer ratio minus one."""
+    """Exact M_n^1(s) = ((s-n)/2)_k / ((s+1-n%2)/2)_k - 1, k = ceil(n/2)."""
     if n < 0:
         raise DomainError("order_one_exact requires n >= 0")
-    sq = as_rational(s)
-    if sq <= 0:
-        raise DomainError("defined for s > 0")
-    if n % 2 == 0:
-        k = n // 2
-        num = pochhammer_rational((sq - n) / 2, k)
-        den = pochhammer_rational((sq + 1) / 2, k)
-    else:
-        k = (n + 1) // 2
-        num = pochhammer_rational((sq - n) / 2, k)
-        den = pochhammer_rational(sq / 2, k)
+    sq = rational_or_none(s)
+    if sq is None or sq <= 0:
+        raise DomainError(f"defined for exact rational s > 0, got {s!r}")
+    k = (n + 1) // 2
+    num = pochhammer_rational((sq - n) / 2, k)
+    den = pochhammer_rational((sq + 1 - n % 2) / 2, k)
     return num / den - 1
 
 

@@ -297,6 +297,12 @@ def exact_or_none(value) -> Optional[GaussianRational]:
     return None
 
 
+def rational_or_none(value) -> Optional[Fraction]:
+    """The real-rational reading of value by `exact_or_none`, or None."""
+    g = exact_or_none(value)
+    return g.re if g is not None and g.im == 0 else None
+
+
 def fixed_point_horner(coeffs_re: Sequence[int], coeffs_im: Sequence[int],
                        x: int, y: int, k: int, derivative: bool = False) -> tuple[int, ...]:
     """Horner for p(w) = sum_j c_j w^j at w = (x + iy) 2^-k, k >= 0, on
@@ -452,14 +458,6 @@ class RationalPolynomial:
             acc = acc * s + GaussianRational(c)
         return acc
 
-    def sign_at(self, x: mp.mpf) -> int:
-        """The sign of p at a finite real mpf x = X 2^-k, exactly, since D > 0
-        and fixed_point_horner at 2^-(d k), d the degree, drops no set bit."""
-        big_x, _, k = _fixed_parts(x._mpf_, fzero)
-        value = fixed_point_horner([c << (self.degree * k) for c in self._nums],
-                                   (0,) * len(self._nums), big_x, 0, k)[0]
-        return (value > 0) - (value < 0)
-
     def eval_mpc(self, s, precision_bits: int = DEFAULT_PRECISION) -> mp.mpc:
         """p(s) rounded to w = precision_bits + FIXED_GUARD_BITS bits: s read
         at w bits, D p(s) 2^W from `fixed_eval` within 2^-w relative, and one
@@ -486,8 +484,10 @@ class RationalPolynomial:
         while a result has fewer than width + T + 2 bits (the sum
         cancelling), W grows by the shortfall and the pass reruns, up to the
         width d (k + max(0, -e)) at which no bit is dropped; an accepted
-        result is within 2^-width relative.  At z = 0 or d < 1 that exact
-        pass is the only one."""
+        result is within 2^-width relative, so at real z Re V has p's sign.
+        Without derivative (which Newton uses near roots, not at them), a
+        result within its 4 d^2 units where p may vanish (`_may_vanish`)
+        goes straight to the exact pass, the only one at z = 0 or d < 1."""
         nums, d = self._nums, self.degree
         size = x * x + y * y
         scale = (size.bit_length() + 1) // 2
@@ -502,11 +502,23 @@ class RationalPolynomial:
             shift = min(shift, top)
             coeffs = [c << s if s >= 0 else c >> -s for c, s in zip(nums, count(shift, e))]
             parts = fixed_point_horner(coeffs, (0,) * len(nums), x, y, scale, derivative)
-            short = need - min(max(abs(parts[i]), abs(parts[i + 1])).bit_length()
-                               for i in range(0, len(parts), 2))
+            low = min(max(abs(parts[i]), abs(parts[i + 1])) for i in range(0, len(parts), 2))
+            short = need - low.bit_length()
             if not widen or shift == top or short <= 0:
                 return parts, shift, e
-            shift += short
+            vanishes = low <= 4 * d * d and not derivative and self._may_vanish(x, y, k)
+            shift = top if vanishes else shift + short
+
+    def _may_vanish(self, x: int, y: int, k: int) -> bool:
+        """False when p((x + iy) 2^-k) != 0 is certain: D p there is nonzero
+        modulo the prime P = 2^61 - 1, 2^-k read as the inverse of 2^k mod P."""
+        prime = (1 << 61) - 1
+        inverse = pow(2, -k, prime)
+        u, v = x * inverse % prime, y * inverse % prime
+        ar = ai = 0
+        for c in self._nums[::-1]:
+            ar, ai = (ar * u - ai * v + c) % prime, (ar * v + ai * u) % prime
+        return ar == ai == 0
 
     def __repr__(self):
         return f"RationalPolynomial({[str(c) for c in self.coefficients]})"

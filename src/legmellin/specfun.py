@@ -402,6 +402,23 @@ def _excess(nums, dens) -> mp.mpf:
             - mp.fsum(mp.mpc(a).real for a in nums))
 
 
+def _a1(a, b, c, d, e, series, precision_bits: int) -> mp.mpc:
+    """A1's right side for 3F2(a, b, c; d, e; 1): two gamma ratios times the
+    3F2(1)s that series sums, each skipped where its ratio is exactly 0."""
+    p1 = _gamma_product((e - a - b, e), (e - a, e - b), precision_bits)
+    p2 = _gamma_product((a + b - e, d, e, d + e - a - b - c),
+                        (a, b, d - c, d + e - a - b), precision_bits)
+    total = mp.mpc(0)
+    if p1 != 0:
+        total += p1 * series((a, b, d - c), (d, 1 + a + b - e), precision_bits)
+    # the second term carries a plus sign: both generic-tuple checks and the
+    # standard two-term relation force it
+    if p2 != 0:
+        total += p2 * series((e - a, e - b, d + e - a - b - c),
+                             (1 + e - a - b, d + e - a - b), precision_bits)
+    return total
+
+
 def _a1_raised(nums, dens, precision_bits: int) -> Optional[mp.mpc]:
     """One A1 application on a 3F2(1), permuting parameters so both
     resulting series have excess Re(1+c-e) > 1/2; None when no labeling
@@ -416,25 +433,10 @@ def _a1_raised(nums, dens, precision_bits: int) -> Optional[mp.mpc]:
     candidates.sort(key=lambda t: -t[0])
     for _, ci, ei in candidates:
         a, b = [nums[j] for j in range(3) if j != ci]
-        c = nums[ci]
-        d = dens[1 - ei]
-        e = dens[ei]
-        t1_num = (e - a - b, e)
-        t1_den = (e - a, e - b)
-        t2_num = (a + b - e, d, e, d + e - a - b - c)
-        t2_den = (a, b, d - c, d + e - a - b)
         try:
-            p1 = _gamma_product(t1_num, t1_den, precision_bits)
-            p2 = _gamma_product(t2_num, t2_den, precision_bits)
+            return _a1(a, b, nums[ci], dens[1 - ei], dens[ei], _hyper_unit, precision_bits)
         except PoleError:
             continue
-        total = mp.mpc(0)
-        if p1 != 0:
-            total += p1 * _hyper_unit((a, b, d - c), (d, 1 + a + b - e), precision_bits)
-        if p2 != 0:
-            total += p2 * _hyper_unit((e - a, e - b, d + e - a - b - c),
-                                      (1 + e - a - b, d + e - a - b), precision_bits)
-        return total
     return None
 
 
@@ -527,25 +529,14 @@ def threeF2_transform_check(
 
     Both sides are computed independently; every denominator gamma goes
     through the reciprocal form, so a vanishing prefactor suppresses its
-    series instead of producing a NaN.
+    series instead of producing a NaN.  A1's right side is hyp_pfq's `_a1`.
     """
     with mp.workprec(precision_bits + 2 * GUARD_BITS):
         az, bz, cz, dz, ez = (to_mpc(x, precision_bits + 2 * GUARD_BITS) for x in (a, b, c, d, e))
         lhs = _f32((az, bz, cz), (dz, ez), precision_bits)
 
         if transform is TransformId.A1:
-            p1 = _gamma_product((ez - az - bz, ez), (ez - az, ez - bz), precision_bits)
-            t1 = mp.mpc(0) if p1 == 0 else p1 * _f32(
-                (az, bz, dz - cz), (dz, 1 + az + bz - ez), precision_bits)
-            p2 = _gamma_product(
-                (az + bz - ez, dz, ez, dz + ez - az - bz - cz),
-                (az, bz, dz - cz, dz + ez - az - bz), precision_bits)
-            # the second term carries a plus sign: both generic-tuple checks
-            # and the standard two-term relation force it
-            t2 = mp.mpc(0) if p2 == 0 else p2 * _f32(
-                (ez - az, ez - bz, dz + ez - az - bz - cz),
-                (1 + ez - az - bz, dz + ez - az - bz), precision_bits)
-            rhs = t1 + t2
+            rhs = _a1(az, bz, cz, dz, ez, _f32, precision_bits)
         elif transform is TransformId.A2:
             rhs = _shared_t1(az, bz, cz, dz, ez, precision_bits)
             p2 = _gamma_product((1 + az - dz, 1 + cz - dz),

@@ -348,8 +348,8 @@ def test_refused_zero_proof_fails_its_row(capsys, monkeypatch):
     # rows of exactly that degree, names them, and the suite still ends
     proves = criticality._sign_alternation_proves
 
-    def refuse_degree_two(r, located):
-        return r.degree != 2 and proves(r, located)
+    def refuse_degree_two(r, ys, k):
+        return r.degree != 2 and proves(r, ys, k)
 
     monkeypatch.setattr(criticality, "_sign_alternation_proves", refuse_degree_two)
     code, out, err = _run(capsys, ["verify", "--suite", "zeros", "--max-n", "12",
@@ -413,6 +413,18 @@ def test_zeros_panel_matches_its_golden_transcript(capsys, monkeypatch):
     assert out == (GOLDEN / "zeros_panel.txt").read_bytes().decode("utf-8")
 
 
+HIGH_DEGREE_ZEROS = (["--n", "200"], ["--n", "400", "--precision", "256"],
+                     ["--n", "401", "--m", "2", "--precision", "128"])
+
+
+def test_high_degree_zeros_match_their_golden_transcript(capsys, monkeypatch):
+    # half-polynomials R of degree 50 to 100, where the sign proof meets
+    # R's worst cancellation, byte for byte
+    monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
+    out = _transcript(capsys, [["zeros", *args] for args in HIGH_DEGREE_ZEROS])
+    assert out == (GOLDEN / "zeros_high_degree.txt").read_bytes().decode("utf-8")
+
+
 MELLIN_PANEL = [["mellin", "--n", str(n), "--m", str(m), "--s", s, "--precision", "128"]
                 for n in (0, 20, 57, 290) for m in (0, 6)
                 for s in ("3/4", "5/2", "2+3i", "3/2-2i")]
@@ -440,10 +452,12 @@ def test_genfun_panel_matches_its_golden_transcript(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("suite, max_n", [("recursion", "12"), ("reps", "6"),
-                                          ("hahn", None), ("funceq", "12")])
+                                          ("hahn", None), ("funceq", "12"),
+                                          ("appendix", None)])
 def test_verify_suite_matches_its_golden_transcript(capsys, monkeypatch, suite, max_n):
     # the degree walk, the order-one check, the catalog's order guard, the
-    # exact Hahn bridge and the reflection rows, byte for byte
+    # exact Hahn bridge, the reflection rows and the appendix identities
+    # (A1 through the terms hyp_pfq raises with), byte for byte
     monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
     argv = ["verify", "--suite", suite] + (["--max-n", max_n] if max_n else [])
     code, out, err = _run(capsys, argv)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legmellin import criticality
+from legmellin import criticality, mpcore
 from legmellin.criticality import (
     HahnParams,
     critical_line_report,
@@ -159,9 +159,36 @@ def test_double_root_on_the_line_refused():
     ([6, 7], False),       # 0, 13/2 and 14 give +, +, +
 ])
 def test_sign_proof_needs_nonzero_alternating_signs(located, proves):
+    # the located roots are integers at 2^-k, at the unit scale and below it
     r = RationalPolynomial([-2, 1]) * RationalPolynomial([-5, 1])
-    with mp.workprec(128):
-        assert criticality._sign_alternation_proves(r, [mp.mpf(y) for y in located]) is proves
+    for k in (0, 40):
+        assert criticality._sign_alternation_proves(r, [y << k for y in located], k) is proves
+
+
+def test_planted_exact_zero_is_refused_within_two_passes(monkeypatch):
+    # R of degree 50 with a root at rho, a dyadic with a 1,001-bit
+    # fraction, and located roots whose first midpoint is rho: a widened
+    # pass truncates that exact zero to a few units at every width, so
+    # the proof must go straight to the exact pass
+    k = 1000
+    rho = 1 + Fraction(3 ** 600, 2 ** (k + 1))
+    r = RationalPolynomial([-rho, 1])
+    for i in range(1, 50):
+        r = r.times_linear(1, -(Fraction(i, 3) + Fraction(1, 7)))
+    mid = rho.numerator
+    ys = [mid // 2 - (1 << (k - 4))]
+    ys += [mid - ys[0]] + [(j + 5) << k for j in range(48)]
+    passes = []
+    horner = mpcore.fixed_point_horner
+
+    def counted(coeffs_re, coeffs_im, x, *rest, **kwargs):
+        passes.append(x)
+        return horner(coeffs_re, coeffs_im, x, *rest, **kwargs)
+
+    monkeypatch.setattr(mpcore, "fixed_point_horner", counted)
+    assert r.degree == 50 and len(ys) == 50
+    assert criticality._sign_alternation_proves(r, ys, k) is False
+    assert 1 <= passes.count(mid) <= 2
 
 
 @pytest.mark.parametrize("bits", [128, 192, 256])

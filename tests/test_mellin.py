@@ -179,6 +179,23 @@ def test_order_one_exact_refuses_a_negative_degree():
         order_one_exact(-1, 2)
 
 
+# a real integral float such as 2.0 reads as the integer 2; a non-real or
+# inexact s has no exact value and is refused
+
+def test_odd_order_exact_reads_an_integral_float():
+    assert mellin_odd_order_exact(1, 1, 2.0) == Fraction(-1, 2)
+
+
+def test_order_one_exact_reads_an_integral_float():
+    assert order_one_exact(2, 2.0) == order_one_exact(2, 2) == -1
+
+
+@pytest.mark.parametrize("s", [GaussianRational(2, 3), 2.5])
+def test_order_one_exact_refuses_a_non_real_or_inexact_s(s):
+    with pytest.raises(DomainError, match="exact rational s > 0"):
+        order_one_exact(2, s)
+
+
 def test_order_one_reference_refuses_a_negative_degree():
     with pytest.raises(DomainError, match="n >= 0"):
         order_one_reference(-3, 2)
@@ -279,6 +296,23 @@ def test_odd_order_float_holds_precision_at_high_degree():
         got = mellin_closed(n, m, s, 128)
         want = mellin_recursion_reference(n, m, s, 128 + 64 + (3 * n) // 2)
         assert _rel_error(got, want) < mp.mpf(2) ** -108
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(0, 800), half_m=st.integers(0, 5),
+       re=st.fractions(Fraction(1, 64), 10, max_denominator=64),
+       im=st.integers(-10 ** 4, 10 ** 4), prec=st.sampled_from([64, 128, 256]))
+def test_closed_form_is_right_to_its_precision(n, half_m, re, im, prec):
+    # even m over the whole domain, against the walk at the width that
+    # holds its precision (its loss grows about 1.25 bits per degree)
+    m = 2 * half_m
+    s = GaussianRational(re, im)
+    got = mellin_closed(n, m, s, prec)
+    want = mellin_recursion_reference(n, m, s, prec + 64 + (3 * n) // 2)
+    if m > n:
+        assert got == want == 0
+    else:
+        assert _rel_error(got, want) <= mp.mpf(2) ** -(prec - 2)
 
 
 def _stack_depth() -> int:

@@ -482,13 +482,21 @@ def test_fixed_eval_ratio_is_within_its_bound(n, m):
             assert abs(got - want.to_mpc(256)) <= mp.mpf(2) ** -(width - 1) * abs(got), z
 
 
-def test_sign_at_reads_the_exact_sign_and_zero():
-    # (y - 1/2)(y - 3/4)(y + 5) has dyadic roots, where the sign is 0
-    assert RationalPolynomial.zero().sign_at(mp.mpf(1)) == 0
+def _fixed_sign(p, q):
+    """The sign of the sign proof's reading of p at the real mpf q."""
+    x, _, k = _fixed_parts(q._mpf_, mp.mpf(0)._mpf_)
+    value = p.fixed_eval(x, 0, k, 64)[0][0]
+    return (value > 0) - (value < 0)
+
+
+def test_fixed_eval_reads_the_exact_sign_and_zero():
+    # (y - 1/2)(y - 3/4)(y + 5) has dyadic roots, where a widened value
+    # stays within its bound and only the exact pass reads the sign 0
+    assert _fixed_sign(RationalPolynomial.zero(), mp.mpf(1)) == 0
     cubic = RationalPolynomial([Fraction(-1, 2), 1]).times_linear(1, Fraction(-3, 4)) \
         .times_linear(1, 5)
     for p in (cubic, poly_factor(120, 0).poly):
         for x in (0, 0.5, 0.75, -5, 0.6, 1, -1e-30, 2 ** -200, 3e50, 1.0 / 3):
             q = mp.mpf(x)
             want = p.eval_rational(Fraction(*mp.libmp.to_rational(q._mpf_)))
-            assert p.sign_at(q) == (want > 0) - (want < 0), x
+            assert _fixed_sign(p, q) == (want > 0) - (want < 0), x

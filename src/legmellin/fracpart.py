@@ -12,10 +12,11 @@ Everything in here is one of three kinds of object:
   and an Euler-Maclaurin tail with exact derivatives and a stated
   remainder (DLMF 2.10.1-3); and
 * independent numeric oracles: a k-sum with exact inner integrals for the
-  moment integrals, and, for the weighted and paired integrals, tanh-sinh
-  quadrature over the unit-fraction segments [1/(k+1), 1/k], k < _SEGMENTS,
-  plus a tail past the last segment that is summed exactly as Hurwitz
-  zetas.
+  moment integrals (closed forms for alpha 1 and 2, a Pfaff-transformed
+  2F1 series with a stated remainder for every other alpha), and, for the
+  weighted and paired integrals, tanh-sinh quadrature over the
+  unit-fraction segments [1/(k+1), 1/k], k < _SEGMENTS, plus a tail past
+  the last segment that is summed exactly as Hurwitz zetas.
 
 Closed forms are never trusted on their own; the test suite pins each one
 against the matching oracle.
@@ -820,21 +821,60 @@ def _inner_exact(alpha: int, count: int, z, workprec) -> list:
         return values
 
 
-def _inner_quadrature(aa, k: int, z, workprec, tol, powers) -> Tuple[mp.mpc, mp.mpf]:
-    """int_0^1 u^alpha (u+k)^-(s+1) du by tanh-sinh, with tanh-sinh's error
-    estimate (extrapolated from the last two levels).
+def _inner_series(aa, count: int, z, workprec, tol) -> list:
+    """int_0^1 u^alpha (u+k)^-(s+1) du for k = 1..count, any Re alpha > -1,
+    as triples (value, prefactor, remainder).
 
-    The nodes on [0, 1] are the same for every k, so u^alpha is looked up
-    in powers, keyed by the node's distance to 0, and computed only once.
+    The integral is k^-(s+1)/(a+1) 2F1(s+1, a+1; a+2; -1/k), and Pfaff's
+    transformation (DLMF 15.8.1) turns it into a series in 1/(k+1) <= 1/2:
+
+        I_k = P_k S_k,  P_k = k^(a-s) (k+1)^-(a+1),
+        S_k = sum_j c_j (k+1)^-j,  c_j = (a+1-s)_j / (j! (a+1+j)).
+
+    The c_j do not depend on k, so one table serves every k, and step k's
+    (k+1)^(a-s) is step k+1's k^(a-s).  Since |a+1+j| < |a+2+j| for
+    Re a > -1, every term ratio from term J on is at most
+    rho_J = max(1, (|a+1-s| + J) / (J+1)) / (k+1), so the terms from J on
+    sum to at most remainder = |c_J| (k+1)^-J / (1 - rho_J).  Each k stops
+    at the first J with rho_J < 1 and |P_k| remainder < tol; value is
+    P_k times the terms before J.
     """
-    def f(u, dist_a, dist_b):
-        power = powers.get(dist_a)
-        if power is None:
-            power = powers[dist_a] = dist_a ** aa
-        return power * (u + k) ** (-(z + 1))
-
-    result = tanh_sinh(f, 0, 1, workprec, tolerance=tol, min_level=3)
-    return mp.mpc(result.value), result.error_estimate
+    with mp.workprec(workprec):
+        b = aa + 1 - z
+        b_abs = abs(b)
+        exponent = aa - z
+        coeffs = []  # c_j
+        sizes = []  # |c_j|
+        growths = []  # max(1, (|a+1-s| + j) / (j+1)), rho_j times (k+1)
+        rising = mp.mpc(1)  # (a+1-s)_j / j!
+        low = mp.mpf(1) ** exponent
+        values = []
+        for k in range(1, count + 1):
+            kk = mp.mpf(k + 1)
+            prefactor = low * kk ** (-(aa + 1))
+            scale = abs(prefactor)
+            low = kk ** exponent
+            total = mp.mpc(0)
+            power = mp.mpf(1)  # (k+1)^-j
+            j = 0
+            while True:
+                if j == len(coeffs):
+                    coeffs.append(rising / (aa + 1 + j))
+                    sizes.append(abs(coeffs[j]))
+                    growths.append(max(1, (b_abs + j) / (j + 1)))
+                    rising *= (b + j) / (j + 1)
+                ratio = growths[j] / kk
+                if ratio < 1:
+                    remainder = sizes[j] * power / (1 - ratio)
+                    if scale * remainder < tol:
+                        break
+                total += coeffs[j] * power
+                power /= kk
+                j += 1
+                if j > _SERIES_BUDGET:
+                    raise ConvergenceError("inner series exhausted its budget")
+            values.append((prefactor * total, prefactor, remainder))
+        return values
 
 
 def numeric_fracpart_oracle(
@@ -842,18 +882,20 @@ def numeric_fracpart_oracle(
 ) -> FracOracleResult:
     """Brute-force moment value: k-sum of inner integrals plus analytic tail.
 
-    The k-sum runs the first few dozen terms with the inner integral done
-    exactly (alpha 1 or 2) or by quadrature; the remainder expands
-    (u+k)^-(s+1) about u = 1, turning into Beta factors against Hurwitz
-    zetas, summed until the expansion terms pass below tolerance.  The
-    error bound adds the tail bound and, for quadrature inner integrals,
-    k^beta times each one's extrapolated tanh-sinh error estimate.  Real
-    parameter sets also get the elementary sandwich bounds.
+    The k-sum runs the first 40 terms with the inner integral
+    int_0^1 u^alpha (u+k)^-(s+1) du done exactly: in closed form for alpha
+    1 or 2, otherwise as the Pfaff-transformed 2F1 series of
+    `_inner_series` (DLMF 15.8.1), each k stopped once its stated remainder
+    is below tolerance / (8 * 40).  The rest expands (u+k)^-(s+1) about
+    u = 1, turning into Beta factors against Hurwitz zetas, summed until
+    the expansion terms pass below tolerance.  The error bound adds the
+    tail bound and, for the series, k^beta |P_k| times each k's remainder
+    bound.  Real parameter sets also get the elementary sandwich bounds.
 
-    Each distinct Hurwitz zeta of the tail, each node power u^alpha of the
-    inner quadratures and each power k^(alpha-s) of the exact inner
-    integrals is computed once per call; the values are those of computing
-    every one where it is used, bit for bit.
+    Each distinct Hurwitz zeta of the tail, each series coefficient and
+    each power k^(alpha-s) of the inner integrals is computed once per
+    call; the values are those of computing every one where it is used,
+    bit for bit.
     """
     workprec = precision_bits + 2 * GUARD_BITS
     beta = spec.beta
@@ -874,18 +916,18 @@ def numeric_fracpart_oracle(
 
         k_sum_terms = 40
         total = mp.mpc(0)
-        quad_error = mp.mpf(0)
+        series_error = mp.mpf(0)
         if exact_alpha is not None:
             exact = _inner_exact(exact_alpha, k_sum_terms, z, workprec)
-        powers = {}  # u^alpha at the tanh-sinh nodes, shared by all k
+        else:
+            series = _inner_series(aa, k_sum_terms, z, workprec, tol / (8 * k_sum_terms))
         for k in range(1, k_sum_terms + 1):
             weight = mp.mpf(k) ** beta
             if exact_alpha is not None:
                 inner = exact[k - 1]
             else:
-                inner, error = _inner_quadrature(
-                    aa, k, z, workprec, tol / (8 * k_sum_terms), powers)
-                quad_error += weight * error
+                inner, prefactor, remainder = series[k - 1]
+                series_error += weight * abs(prefactor) * remainder
             total += weight * inner
 
         # tail over k > k_sum_terms, expanded about u = 1
@@ -926,7 +968,7 @@ def numeric_fracpart_oracle(
             upper = top / (aa.real + 1)  # r = beta: zeta(Re s + 1 - beta)
         return FracOracleResult(
             value=HPComplex.from_value(total, precision_bits),
-            error_bound=mp.mpf(tail_bound + quad_error),
+            error_bound=mp.mpf(tail_bound + series_error),
             lower=lower,
             upper=upper,
             terms_used=k_sum_terms + i + 1,

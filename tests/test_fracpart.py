@@ -1,12 +1,13 @@
 """Fractional-part transforms: zeta combinations, boundary limits, the
 paired integral, and the alternating/direct series transforms."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legmellin import fracpart
 from legmellin.errors import ConvergenceError, DomainError, PoleError
@@ -110,27 +111,48 @@ def test_moments_match_oracle():
             assert diff <= max(8 * oracle.error_bound, mp.mpf(10) ** -40)
 
 
-def test_oracle_bound_counts_inner_quadrature_error(monkeypatch):
-    # non-integer alpha takes the inner integrals by quadrature; the bound
-    # must carry each one's own error estimate times its weight k^beta
-    reported = mp.mpf(10) ** -20
+def test_oracle_bound_counts_each_series_remainder(monkeypatch):
+    # non-integer alpha takes the inner integrals as series; the bound must
+    # carry each one's stated remainder times |P_k| and its weight k^beta
+    planted = mp.mpf(10) ** -10
+    prefactors = []
+    inner_series = fracpart._inner_series
 
-    def loose(*args, **kwargs):
-        return dataclasses.replace(tanh_sinh(*args, **kwargs), error_estimate=reported)
+    def plant(*args):
+        values = inner_series(*args)
+        prefactors.extend(prefactor for _, prefactor, _ in values)
+        return [(value, prefactor, planted) for value, prefactor, _ in values]
 
-    monkeypatch.setattr(fracpart, "tanh_sinh", loose)
+    monkeypatch.setattr(fracpart, "_inner_series", plant)
     oracle = numeric_fracpart_oracle(
         FracIntegralSpec(Fraction(1, 3), 2, Fraction(9, 2)), precision_bits=96)
-    inner = reported * sum(k ** 2 for k in range(1, 41))  # the 40-term k-sum
-    assert inner <= oracle.error_bound <= inner + mp.mpf(2) ** -80
+    assert len(prefactors) == 40  # the 40-term k-sum
+    with mp.workprec(160):
+        carried = sum(k ** 2 * abs(p) * planted for k, p in enumerate(prefactors, 1))
+        assert abs(oracle.error_bound - carried) <= mp.mpf(2) ** -80
+
+
+def test_fractional_alpha_takes_no_quadrature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fracpart, "tanh_sinh", lambda *args, **kwargs: calls.append(args))
+    numeric_fracpart_oracle(
+        FracIntegralSpec(Fraction(2, 3), 1, GaussianRational(Fraction(9, 4), 1)), 96)
+    assert calls == []
+
+
+def test_inner_series_refuses_past_its_budget(monkeypatch):
+    monkeypatch.setattr(fracpart, "_SERIES_BUDGET", 8)
+    with pytest.raises(ConvergenceError, match="inner series"):
+        numeric_fracpart_oracle(FracIntegralSpec(Fraction(1, 3), 1, Fraction(9, 2)), 96)
 
 
 def _reference_oracle(spec, precision_bits):
     """numeric_fracpart_oracle written without any reuse: every Hurwitz
-    zeta, node power and inner power is computed where it is used.
+    zeta, series coefficient and inner power is computed where it is used.
 
-    Its constants are the oracle's: a 40-term k-sum, each inner quadrature
-    at tolerance / (8 * 40), and a tail of Hurwitz zetas at shift 40 + 2.
+    Its constants are the oracle's: a 40-term k-sum, each inner series
+    stopped at tolerance / (8 * 40), and a tail of Hurwitz zetas at shift
+    40 + 2.
     """
     workprec = precision_bits + 2 * GUARD_BITS
     beta = spec.beta
@@ -149,21 +171,34 @@ def _reference_oracle(spec, precision_bits):
                 (kk + 1) ** (2 - z) - kk ** (2 - z)) / ((z - 1) * (2 - z))
             return -((kk + 1) ** (-z)) / z + 2 * g / z
 
-        def inner_quadrature(k):
-            result = tanh_sinh(
-                lambda u, dist_a, dist_b: dist_a ** aa * (u + k) ** (-(z + 1)),
-                0, 1, workprec, tolerance=tol / 320, min_level=3)
-            return mp.mpc(result.value), result.error_estimate
+        def inner_series(k):
+            kk = mp.mpf(k + 1)
+            prefactor = mp.mpf(k) ** (aa - z) * kk ** (-(aa + 1))
+            rising = mp.mpc(1)
+            power = mp.mpf(1)
+            total = mp.mpc(0)
+            j = 0
+            while True:
+                c = rising / (aa + 1 + j)
+                ratio = max(1, (abs(aa + 1 - z) + j) / (j + 1)) / kk
+                if ratio < 1:
+                    remainder = abs(c) * power / (1 - ratio)
+                    if abs(prefactor) * remainder < tol / 320:
+                        return prefactor * total, prefactor, remainder
+                total += c * power
+                rising *= (aa + 1 - z + j) / (j + 1)
+                power /= kk
+                j += 1
 
         total = mp.mpc(0)
-        quad_error = mp.mpf(0)
+        series_error = mp.mpf(0)
         for k in range(1, 41):
             weight = mp.mpf(k) ** beta
             if exact_alpha is not None:
                 inner = inner_exact(k)
             else:
-                inner, error = inner_quadrature(k)
-                quad_error += weight * error
+                inner, prefactor, remainder = inner_series(k)
+                series_error += weight * abs(prefactor) * remainder
             total += weight * inner
         rf = mp.mpc(1)
         i = 0
@@ -187,7 +222,7 @@ def _reference_oracle(spec, precision_bits):
             lower = lo / (aa.real + 1)
             upper = mp.zeta(z.real + 1 - beta) / (aa.real + 1)
         return (HPComplex.from_value(total, precision_bits),
-                mp.mpf(tail_bound + quad_error), lower, upper, 40 + i + 1)
+                mp.mpf(tail_bound + series_error), lower, upper, 40 + i + 1)
 
 
 def _bits(x):
@@ -222,6 +257,50 @@ def test_oracle_equals_the_loop_without_reuse(alpha, beta, s, bits):
     assert got.error_bound._mpf_ == error_bound._mpf_
     assert (_bits(got.lower), _bits(got.upper)) == (_bits(lower), _bits(upper))
     assert got.terms_used == terms_used
+
+
+# the first row is the sandwich case whose inner quadrature at k = 3 once
+# stopped with an estimate of 2.2e-30 against a true error of 2.0e-26
+_FRACTIONAL_PANEL = [
+    (Fraction(1, 3), 1, Fraction(9, 2)),
+    (Fraction(2, 3), 3, Fraction(13, 3)),
+    (Fraction(-1, 2), 2, GaussianRational(Fraction(9, 4), 1)),
+    (Fraction(1, 3), 0, GaussianRational(Fraction(9, 4), 1)),
+]
+
+
+@pytest.mark.parametrize("alpha,beta,s", _FRACTIONAL_PANEL, ids=str)
+def test_fractional_oracle_keeps_its_bound(alpha, beta, s):
+    spec = FracIntegralSpec(alpha, beta, s)
+    oracle = numeric_fracpart_oracle(spec, precision_bits=96)
+    wide = numeric_fracpart_oracle(spec, precision_bits=320)
+    with mp.workprec(400):
+        assert abs(oracle.value.to_mpc() - wide.value.to_mpc()) <= oracle.error_bound
+    if oracle.lower is not None:
+        assert oracle.lower <= oracle.value.to_mpc().real <= oracle.upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.fractions(-1, 3, max_denominator=12).filter(lambda a: -1 < a < 3),
+       beta=st.integers(0, 3),
+       excess=st.fractions(Fraction(1, 8), 6, max_denominator=8),
+       im=st.fractions(-3, 3, max_denominator=8),
+       k=st.integers(1, 40),
+       bits=st.sampled_from([64, 96, 160]))
+def test_inner_series_matches_hyp2f1(alpha, beta, excess, im, k, bits):
+    # int_0^1 u^a (u+k)^-(s+1) du = k^-(s+1)/(a+1) 2F1(s+1, a+1; a+2; -1/k)
+    s = GaussianRational(beta + max(0, alpha - 1) + excess, im)
+    workprec = bits + 2 * GUARD_BITS
+    tol = fracpart._default_tolerance(bits) / 320
+    with mp.workprec(workprec):
+        z, aa = to_mpc(s, workprec), to_mpc(alpha, workprec)
+        value, prefactor, remainder = fracpart._inner_series(aa, k, z, workprec, tol)[-1]
+        assert abs(prefactor) * remainder < tol
+    with mp.workprec(2 * workprec):
+        z, aa = to_mpc(s, 2 * workprec), to_mpc(alpha, 2 * workprec)
+        want = mp.mpf(k) ** (-(z + 1)) / (aa + 1) * mp.hyp2f1(z + 1, aa + 1, aa + 2, -mp.mpf(1) / k)
+        rounding = mp.mpf(2) ** -(bits + GUARD_BITS)
+        assert abs(value - want) <= abs(prefactor) * remainder + rounding
 
 
 @pytest.mark.parametrize("s", [Fraction(19, 4), GaussianRational(Fraction(19, 4), 2)], ids=str)

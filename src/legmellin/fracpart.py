@@ -821,6 +821,31 @@ def _inner_exact(alpha: int, count: int, z, workprec) -> list:
         return values
 
 
+def _series_guard(aa, z) -> int:
+    """Bits the series of `_inner_series` can lose to cancellation.
+
+    Every k's terms |c_j| (k+1)^-j are at most those of k = 1, whose
+    ratio |b+j| |a+1+j| / (2 (j+1) |a+2+j|), b = a + 1 - s, is below 1
+    once j > |b| - 2.  So the largest term is among the first |b| + 2;
+    its log2, found in floating point, is returned rounded up (at least 0).
+    Past |b| = _SERIES_BUDGET the k = 1 series cannot stop within its
+    budget, and this refuses at once.
+    """
+    a1 = complex(aa) + 1
+    bc = a1 - complex(z)
+    if abs(bc) > _SERIES_BUDGET:
+        raise ConvergenceError("inner series exhausted its budget")
+    log_rising = 0.0  # log2 |(b)_j / j!| 2^-j
+    peak = -math.log2(abs(a1))
+    for j in range(1, int(abs(bc)) + 2):
+        step = abs(bc + j - 1) / (2 * j)
+        if step == 0:
+            break  # b is a non-positive integer: later terms vanish
+        log_rising += math.log2(step)
+        peak = max(peak, log_rising - math.log2(abs(a1 + j)))
+    return max(0, math.ceil(peak))
+
+
 def _inner_series(aa, count: int, z, workprec, tol) -> list:
     """int_0^1 u^alpha (u+k)^-(s+1) du for k = 1..count, any Re alpha > -1,
     as triples (value, prefactor, remainder).
@@ -835,11 +860,19 @@ def _inner_series(aa, count: int, z, workprec, tol) -> list:
     (k+1)^(a-s) is step k+1's k^(a-s).  Since |a+1+j| < |a+2+j| for
     Re a > -1, every term ratio from term J on is at most
     rho_J = max(1, (|a+1-s| + J) / (J+1)) / (k+1), so the terms from J on
-    sum to at most remainder = |c_J| (k+1)^-J / (1 - rho_J).  Each k stops
-    at the first J with rho_J < 1 and |P_k| remainder < tol; value is
-    P_k times the terms before J.
+    sum to at most |c_J| (k+1)^-J / (1 - rho_J).  Each k stops at the
+    first J with rho_J < 1 and |P_k| times that below tol; value is P_k
+    times the terms before J.
+
+    For large |a+1-s| the terms grow far past S_k before they cancel, so
+    the sum runs `_series_guard` bits above workprec.  The remainder is
+    the tail bound plus the rounding: 8 (J + 1) units of that precision
+    times the sum of the summed terms' sizes, as each term carries the
+    relative errors of its J-step recursions and of the running sum.
     """
-    with mp.workprec(workprec):
+    sumprec = workprec + _series_guard(aa, z)
+    with mp.workprec(sumprec):
+        unit = mp.ldexp(1, -sumprec)
         b = aa + 1 - z
         b_abs = abs(b)
         exponent = aa - z
@@ -855,6 +888,7 @@ def _inner_series(aa, count: int, z, workprec, tol) -> list:
             scale = abs(prefactor)
             low = kk ** exponent
             total = mp.mpc(0)
+            spread = mp.mpf(0)  # sum of |c_j| (k+1)^-j over the summed terms
             power = mp.mpf(1)  # (k+1)^-j
             j = 0
             while True:
@@ -869,11 +903,13 @@ def _inner_series(aa, count: int, z, workprec, tol) -> list:
                     if scale * remainder < tol:
                         break
                 total += coeffs[j] * power
+                spread += sizes[j] * power
                 power /= kk
                 j += 1
                 if j > _SERIES_BUDGET:
                     raise ConvergenceError("inner series exhausted its budget")
-            values.append((prefactor * total, prefactor, remainder))
+            rounding = 8 * (j + 1) * unit * spread
+            values.append((prefactor * total, prefactor, remainder + rounding))
         return values
 
 
@@ -890,7 +926,8 @@ def numeric_fracpart_oracle(
     u = 1, turning into Beta factors against Hurwitz zetas, summed until
     the expansion terms pass below tolerance.  The error bound adds the
     tail bound and, for the series, k^beta |P_k| times each k's remainder
-    bound.  Real parameter sets also get the elementary sandwich bounds.
+    bound, which counts the truncation and the rounding of the sum.  Real
+    parameter sets also get the elementary sandwich bounds.
 
     Each distinct Hurwitz zeta of the tail, each series coefficient and
     each power k^(alpha-s) of the inner integrals is computed once per

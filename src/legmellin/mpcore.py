@@ -342,7 +342,7 @@ class RationalPolynomial:
     reduced Fractions N_i / D, is built on first read and kept.
     """
 
-    __slots__ = ("_nums", "_den", "_fractions", "_hull")
+    __slots__ = ("_nums", "_den", "_fractions")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         coeffs = [as_rational(c) for c in coefficients]
@@ -363,28 +363,6 @@ class RationalPolynomial:
         g = gcd(den, *nums) * (1 if den > 0 else -1)
         self._nums, self._den = tuple(c // g for c in nums), den // g
         self._fractions: Optional[tuple[Fraction, ...]] = None
-        self._hull: Optional[tuple[tuple[int, int], ...]] = None
-
-    def _bit_hull(self) -> tuple[tuple[int, int], ...]:
-        """The upper convex hull of the points (j, bit_length(N_j) - 1),
-        collinear points kept; built on first read and kept.
-
-        A point off the hull lies at least 1/d below it, so for every
-        slope t the max over j of bit_length(N_j) - 1 + j t is taken at a
-        hull point, in floating point too while rounding stays below 1/d.
-        """
-        if self._hull is None:
-            hull = []
-            for j, c in enumerate(self._nums):
-                h = c.bit_length() - 1
-                while len(hull) > 1:
-                    (j1, h1), (j2, h2) = hull[-2], hull[-1]
-                    if (j2 - j1) * (h - h1) <= (h2 - h1) * (j - j1):
-                        break
-                    hull.pop()  # (j2, h2) lies below the chord to (j, h)
-                hull.append((j, h))
-            self._hull = tuple(hull)
-        return self._hull
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -518,7 +496,7 @@ class RationalPolynomial:
         if d > 0 and size:
             need = width + 4 + ceil(2 * log2(d))
             log_z = log2(size) / 2 - k
-            top_term = floor(max(h + j * log_z for j, h in self._bit_hull()))
+            top_term = floor(max(c.bit_length() - 1 + j * log_z for j, c in enumerate(nums)))
             shift = need + (32 if widen else 0) - top_term
         while True:
             shift = min(shift, top)

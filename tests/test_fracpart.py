@@ -144,6 +144,10 @@ def test_inner_series_refuses_past_its_budget(monkeypatch):
     monkeypatch.setattr(fracpart, "_SERIES_BUDGET", 8)
     with pytest.raises(ConvergenceError, match="inner series"):
         numeric_fracpart_oracle(FracIntegralSpec(Fraction(1, 3), 1, Fraction(9, 2)), 96)
+    monkeypatch.undo()
+    # the k = 1 series runs past |a+1-s| terms, so this is refused at once
+    with pytest.raises(ConvergenceError, match="inner series"):
+        numeric_fracpart_oracle(FracIntegralSpec(Fraction(1, 3), 0, 10 ** 6), 96)
 
 
 def _reference_oracle(spec, precision_bits):
@@ -172,23 +176,28 @@ def _reference_oracle(spec, precision_bits):
             return -((kk + 1) ** (-z)) / z + 2 * g / z
 
         def inner_series(k):
-            kk = mp.mpf(k + 1)
-            prefactor = mp.mpf(k) ** (aa - z) * kk ** (-(aa + 1))
-            rising = mp.mpc(1)
-            power = mp.mpf(1)
-            total = mp.mpc(0)
-            j = 0
-            while True:
-                c = rising / (aa + 1 + j)
-                ratio = max(1, (abs(aa + 1 - z) + j) / (j + 1)) / kk
-                if ratio < 1:
-                    remainder = abs(c) * power / (1 - ratio)
-                    if abs(prefactor) * remainder < tol / 320:
-                        return prefactor * total, prefactor, remainder
-                total += c * power
-                rising *= (aa + 1 - z + j) / (j + 1)
-                power /= kk
-                j += 1
+            sumprec = workprec + fracpart._series_guard(aa, z)
+            with mp.workprec(sumprec):
+                kk = mp.mpf(k + 1)
+                prefactor = mp.mpf(k) ** (aa - z) * kk ** (-(aa + 1))
+                rising = mp.mpc(1)
+                power = mp.mpf(1)
+                total = mp.mpc(0)
+                spread = mp.mpf(0)
+                j = 0
+                while True:
+                    c = rising / (aa + 1 + j)
+                    ratio = max(1, (abs(aa + 1 - z) + j) / (j + 1)) / kk
+                    if ratio < 1:
+                        remainder = abs(c) * power / (1 - ratio)
+                        if abs(prefactor) * remainder < tol / 320:
+                            rounding = 8 * (j + 1) * mp.ldexp(1, -sumprec) * spread
+                            return prefactor * total, prefactor, remainder + rounding
+                    total += c * power
+                    spread += abs(c) * power
+                    rising *= (aa + 1 - z + j) / (j + 1)
+                    power /= kk
+                    j += 1
 
         total = mp.mpc(0)
         series_error = mp.mpf(0)
@@ -288,8 +297,24 @@ def test_fractional_oracle_keeps_its_bound(alpha, beta, s):
        k=st.integers(1, 40),
        bits=st.sampled_from([64, 96, 160]))
 def test_inner_series_matches_hyp2f1(alpha, beta, excess, im, k, bits):
+    _check_inner_series(alpha, GaussianRational(beta + max(0, alpha - 1) + excess, im), k, bits)
+
+
+# at large |a+1-s| the terms grow 66 (s = 3+100i) to 78 (s = 150) bits
+# above the sum before they cancel, past the oracle's guard bits
+@pytest.mark.parametrize("alpha,s,k,bits", [
+    (Fraction(1, 3), Fraction(150), 1, 96),
+    (Fraction(1, 3), Fraction(150), 2, 96),
+    (Fraction(1, 3), GaussianRational(3, 100), 1, 96),
+    (Fraction(-1, 2), GaussianRational(3, 100), 2, 64),
+    (Fraction(2, 3), GaussianRational(Fraction(9, 2), -60), 1, 160),
+], ids=str)
+def test_inner_series_keeps_its_bound_at_large_s(alpha, s, k, bits):
+    _check_inner_series(alpha, s, k, bits)
+
+
+def _check_inner_series(alpha, s, k, bits):
     # int_0^1 u^a (u+k)^-(s+1) du = k^-(s+1)/(a+1) 2F1(s+1, a+1; a+2; -1/k)
-    s = GaussianRational(beta + max(0, alpha - 1) + excess, im)
     workprec = bits + 2 * GUARD_BITS
     tol = fracpart._default_tolerance(bits) / 320
     with mp.workprec(workprec):

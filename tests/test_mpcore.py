@@ -482,21 +482,6 @@ def test_fixed_eval_ratio_is_within_its_bound(n, m):
             assert abs(got - want.to_mpc(256)) <= mp.mpf(2) ** -(width - 1) * abs(got), z
 
 
-@settings(max_examples=60, deadline=None)
-@given(nums=st.lists(st.integers(-2 ** 80, 2 ** 80) | st.sampled_from([0, 1, -1]),
-                     min_size=1, max_size=40).filter(lambda c: c[-1] != 0),
-       slopes=st.lists(st.floats(-300, 300), min_size=1, max_size=8))
-def test_bit_hull_keeps_the_start_width(nums, slopes):
-    # fixed_eval's start width reads the max over the hull only; it must be
-    # the max over every term, the same float
-    p = RationalPolynomial.from_integers(nums, 1)
-    points = [(j, c.bit_length() - 1) for j, c in enumerate(p._nums)]
-    hull = p._bit_hull()
-    assert set(hull) <= set(points) and hull[0] == points[0] and hull[-1] == points[-1]
-    for t in slopes + [0.0, -0.5, 1 / 3]:
-        assert max(h + j * t for j, h in hull) == max(h + j * t for j, h in points)
-
-
 def _fixed_sign(p, q):
     """The sign of the sign proof's reading of p at the real mpf q."""
     x, _, k = _fixed_parts(q._mpf_, mp.mpf(0)._mpf_)

@@ -14,9 +14,10 @@ Everything in here is one of three kinds of object:
 * independent numeric oracles: a k-sum with exact inner integrals for the
   moment integrals (closed forms for alpha 1 and 2, a Pfaff-transformed
   2F1 series with a stated remainder for every other alpha), and, for the
-  weighted and paired integrals, tanh-sinh quadrature over the
-  unit-fraction segments [1/(k+1), 1/k], k < _SEGMENTS, plus a tail past
-  the last segment that is summed exactly as Hurwitz zetas.
+  weighted and paired integrals, the unit-fraction segments
+  [1/(k+1), 1/k], k >= 2, folded by x = 1/(k+t) into Hurwitz-zeta
+  integrals that are summed exactly; only the weight's singular segment
+  [1/2, 1] is left to tanh-sinh quadrature.
 
 Closed forms are never trusted on their own; the test suite pins each one
 against the matching oracle.
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Optional, Tuple
 
 from mpmath import mp
@@ -48,7 +48,6 @@ from .quadrature import tanh_sinh
 
 _TAIL_GUARD = 64  # for the cancelling terms of _zeta_moment_integral
 _SERIES_BUDGET = 200_000
-_SEGMENTS = 12  # the oracles' quadrature stops at x = 1/_SEGMENTS
 _HEAD_TERMS = 64  # explicit terms of sublemma_sum_series before its fold
 
 
@@ -459,8 +458,8 @@ def frac_pair_integral(s: int, precision_bits: int = DEFAULT_PRECISION) -> HPCom
     """int_0^1 {1/x} {1/(1-x)} x^(s-1) dx for integer s >= 1.
 
     Assembled from two closed pieces; s = 1 gives 2*gamma - 1.  The
-    assembly is cross-checked against split quadrature by
-    pair_integral_report, not trusted blind.
+    assembly is cross-checked against the folded Hurwitz-zeta oracle
+    `pair_integral_quadrature` by pair_integral_report, not trusted blind.
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
@@ -477,96 +476,92 @@ class OracleQuadrature:
     error_bound: mp.mpf
 
 
-def _zeta_moment_integral(sigma, shift, workprec):
-    """int_0^1 t zeta(sigma, K + t) dt with K = shift, for Re sigma > 2.
+def _oracle_result(total, bound, precision_bits: int) -> OracleQuadrature:
+    """total rounded to precision_bits, and bound plus that rounding."""
+    return OracleQuadrature(
+        value=HPComplex.from_value(total, precision_bits),
+        error_bound=mp.mpf(bound + abs(total) * mp.ldexp(1, -precision_bits)),
+    )
 
-    Summed over a = K, K+1, ..., the pieces int_0^1 t (a+t)^-sigma dt
-    telescope to K^(2-sigma) / ((sigma-1)(sigma-2)) - zeta(sigma-1, K+1) /
-    (sigma-1).  Each term is about K^(2-sigma) / sigma^2 in size and the
-    value is below K^-sigma / 2, so the difference is formed with
+
+def _zeta_moment_integral(sigma, workprec):
+    """int_0^1 t zeta(sigma, 2 + t) dt, for Re sigma > 2.
+
+    Summed over a = 2, 3, ..., the pieces int_0^1 t (a+t)^-sigma dt
+    telescope to 2^(2-sigma) / ((sigma-1)(sigma-2)) - zeta(sigma-1, 3) /
+    (sigma-1).  Each term is about 2^(2-sigma) / sigma^2 in size and the
+    value is below 2^-sigma / 2, so the difference is formed with
     _TAIL_GUARD extra bits.  Returns an mpf for real sigma, else an mpc.
     """
     with mp.workprec(workprec + _TAIL_GUARD):
-        k = mp.mpf(shift)
+        k = mp.mpf(2)
         value = (k ** (2 - sigma) / ((sigma - 1) * (sigma - 2))
                  - mp.zeta(sigma - 1, k + 1) / (sigma - 1))
     with mp.workprec(workprec):
         return +value
 
 
-def _segments(integrand, first: int, total, bound, workprec, tol):
-    """Add tanh-sinh over [1/(k+1), 1/k], first <= k < _SEGMENTS, to total
-    and each segment's error estimate to bound.
-
-    integrand(k, y, dist_a, dist_b) is the integrand on segment k.
-    """
-    for k in range(first, _SEGMENTS):
-        piece = tanh_sinh(
-            partial(integrand, k), mp.mpf(1) / (k + 1), mp.mpf(1) / k, workprec,
-            tolerance=tol / (4 * _SEGMENTS), min_level=3,
-        )
-        total += mp.mpc(piece.value)
-        bound += abs(piece.error_estimate)
-    return total, bound
-
-
 def _folded_tail(terms: Iterable, total, bound, workprec, tol):
-    """Add c_m int_0^1 t zeta(sigma_m, K + t) dt, K = _SEGMENTS, over the
-    pairs (c_m, sigma_m) of terms, to total.
+    """Add c_m int_0^1 t zeta(sigma_m, 2 + t) dt over the triples
+    (c_m, sigma_m, r_m) of terms to total, and a bound on the rest to bound.
 
-    Stops at the first cap |c_m| (K^-sigma + K^(1-sigma)/(sigma-1)) / 2,
-    with sigma = Re sigma_m, below tol/16, and adds twice that cap to bound.
+    The m-th term is at most its cap |c_m| (2^-sigma + 2^(1-sigma)/(sigma-1))
+    / 2, with sigma = Re sigma_m, and r_m bounds the ratio of every later
+    cap to the one before it.  Stops at the first cap below tol/16 whose r_m
+    is below 1, and adds cap r_m / (1 - r_m), the geometric sum that bounds
+    every term after it.
     """
-    k = mp.mpf(_SEGMENTS)
-    for c, sigma in itertools.islice(terms, _SERIES_BUDGET):
-        total += c * _zeta_moment_integral(sigma, _SEGMENTS, workprec)
+    k = mp.mpf(2)
+    for c, sigma, ratio in itertools.islice(terms, _SERIES_BUDGET):
+        total += c * _zeta_moment_integral(sigma, workprec)
         sig = sigma.real
         cap = abs(c) * (k ** (-sig) + k ** (1 - sig) / (sig - 1)) / 2
-        if cap < tol / 16:
-            return total, bound + 2 * cap
+        if ratio < 1 and cap < tol / 16:
+            return total, bound + cap * ratio / (1 - ratio)
     raise ConvergenceError("tail expansion exhausted its budget")
 
 
 def pair_integral_quadrature(s: int, precision_bits: int = 96) -> OracleQuadrature:
-    """Direct quadrature of the paired integral, split at unit fractions.
+    """Direct oracle for the paired integral, folded at unit fractions.
 
-    Both halves of (0,1) reduce to sums over intervals [1/(k+1), 1/k] where
-    the integrand is smooth; each is integrated by tanh-sinh for k below
-    _SEGMENTS.  Past that the sum is folded, via the substitution
-    x = 1/(k+t), into integrals of Hurwitz zeta against t dt, which are
-    summed exactly (`_zeta_moment_integral`).  The left weight y^s/(1-y)
-    has all-ones power coefficients and a geometric truncation bound; the
-    mirrored right weight y(1-y)^(s-2) is the same series at s = 1 and a
-    polynomial, summed in full, for s >= 2.  The error bound adds the
-    segments' tanh-sinh error estimates (extrapolated from the last two
-    levels, see `quadrature.tanh_sinh`) and the truncation bounds.
+    Both halves of (0,1) reduce to sums over the intervals [1/(k+1), 1/k],
+    k >= 2, where {1/x} = 1/x - k.  The substitution x = 1/(k+t) folds each
+    sum into integrals of Hurwitz zeta against t dt, which are summed
+    exactly (`_zeta_moment_integral`), so no quadrature is left.  The left
+    weight y^s/(1-y) has all-ones power coefficients, and its caps halve
+    from term to term; the mirrored right weight y(1-y)^(s-2) is the same
+    series at s = 1 and a polynomial for s >= 2, whose binomial sum cancels
+    by up to (3/2)^(s-2) and so runs as many bits higher.  The error bound
+    adds the series' geometric remainder, that sum's rounding and the
+    output rounding.  The oracle stays independent of `frac_pair_integral`:
+    it sums Hurwitz zetas, where the closed assembly sums Euler's constant
+    and zeta values.
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
     workprec = precision_bits + GUARD_BITS
     with mp.workprec(workprec):
         tol = _default_tolerance(precision_bits)
-        # the left weight, then the right one mirrored onto (0, 1/2]
-        total, bound = _segments(
-            lambda k, y, dist_a, dist_b: (1 / y - k) * (y ** s / (1 - y)),
-            2, mp.mpc(0), mp.mpf(0), workprec, tol)
-        total, bound = _segments(
-            lambda k, y, dist_a, dist_b: (1 / y - k) * (y * (1 - y) ** (s - 2)),
-            2, total, bound, workprec, tol)
+        half = mp.mpf(1) / 2
+        total, bound = mp.mpc(0), mp.mpf(0)
         for _ in range(2 if s == 1 else 1):  # at s = 1 both weights are y/(1-y)
             total, bound = _folded_tail(
-                ((1, s + m + 2) for m in itertools.count()), total, bound, workprec, tol)
-        for m in range(s - 1):
-            total += (-1) ** m * math.comb(s - 2, m) * _zeta_moment_integral(
-                m + 3, _SEGMENTS, workprec)
-        return OracleQuadrature(
-            value=HPComplex.from_value(total, precision_bits), error_bound=mp.mpf(bound)
-        )
+                ((1, s + m + 2, half) for m in itertools.count()), total, bound, workprec, tol)
+        # each zeta integral is at most 2^-(m+3), so the binomial terms add up
+        # to at most 2^(guard-3), and guard bits higher their sum rounds by at
+        # most (s+4) 2^-(workprec+3)
+        n = max(s - 2, 0)
+        guard = (3 ** n - 1).bit_length() - n  # 2^guard >= (3/2)^(s-2)
+        with mp.workprec(workprec + guard):
+            for m in range(s - 1):
+                total += (-1) ** m * math.comb(s - 2, m) * _zeta_moment_integral(m + 3, mp.prec)
+        bound += mp.ldexp(s + 4, -workprec - 3)
+        return _oracle_result(total, bound, precision_bits)
 
 
 @dataclass(frozen=True)
 class PairIntegralReport:
-    """Closed assembly vs direct quadrature, with their absolute gap."""
+    """Closed assembly vs the folded oracle, with their absolute gap."""
 
     closed: HPComplex
     quadrature: HPComplex
@@ -925,9 +920,10 @@ def numeric_fracpart_oracle(
     is below tolerance / (8 * 40).  The rest expands (u+k)^-(s+1) about
     u = 1, turning into Beta factors against Hurwitz zetas, summed until
     the expansion terms pass below tolerance.  The error bound adds the
-    tail bound and, for the series, k^beta |P_k| times each k's remainder
-    bound, which counts the truncation and the rounding of the sum.  Real
-    parameter sets also get the elementary sandwich bounds.
+    tail bound, the output rounding |value| 2^-precision_bits and, for the
+    series, k^beta |P_k| times each k's remainder bound, which counts the
+    truncation and the rounding of the sum.  Real parameter sets also get
+    the elementary sandwich bounds.
 
     Each distinct Hurwitz zeta of the tail, each series coefficient and
     each power k^(alpha-s) of the inner integrals is computed once per
@@ -1005,7 +1001,8 @@ def numeric_fracpart_oracle(
             upper = top / (aa.real + 1)  # r = beta: zeta(Re s + 1 - beta)
         return FracOracleResult(
             value=HPComplex.from_value(total, precision_bits),
-            error_bound=mp.mpf(tail_bound + series_error),
+            error_bound=mp.mpf(
+                tail_bound + series_error + abs(total) * mp.ldexp(1, -precision_bits)),
             lower=lower,
             upper=upper,
             terms_used=k_sum_terms + i + 1,
@@ -1013,15 +1010,19 @@ def numeric_fracpart_oracle(
 
 
 def frac_weight_quadrature(s, b, alpha, precision_bits: int = 96) -> OracleQuadrature:
-    """Direct quadrature oracle for the weighted transform.
+    """Direct oracle for the weighted transform.
 
-    Tanh-sinh over the unit-fraction segments [1/(k+1), 1/k], k < _SEGMENTS,
-    then the same fold as the paired-integral oracle: the k-tail becomes
-    Hurwitz zeta integrals via x = 1/(k+t), with the weight expanded
-    binomially in (k+t)^-b, and each of those is summed exactly
-    (`_zeta_moment_integral`).  Only the segments are quadrature; their
-    extrapolated tanh-sinh error estimates and the tail cap make up the
-    error bound.
+    Tanh-sinh over the one singular segment [1/2, 1], where (1-x^b)^-alpha
+    blows up at x = 1 and is computed from the distance to that endpoint.
+    The rest, the unit-fraction segments [1/(k+1), 1/k] for k >= 2, is the
+    same fold as the paired-integral oracle's: x = 1/(k+t) turns it into
+    Hurwitz zeta integrals, with the weight expanded binomially in
+    (k+t)^-b, and each of those is summed exactly (`_zeta_moment_integral`).
+    The m-th coefficient (alpha)_m / m! grows by at most
+    max(1, (|alpha| + m) / (m + 1)) a step and the zeta integrals fall by
+    2^-b, which gives the fold its geometric remainder.  The error bound
+    adds the segment's tanh-sinh error estimate (extrapolated from its last
+    two levels), that remainder and the output rounding.
     """
     workprec = precision_bits + GUARD_BITS
     z, bb = _weight_args(s, b, workprec)
@@ -1031,23 +1032,21 @@ def frac_weight_quadrature(s, b, alpha, precision_bits: int = 96) -> OracleQuadr
             raise DomainError("need 0 <= Re alpha < 1")
         tol = _default_tolerance(precision_bits)
 
-        def g(k, t, dist_a, dist_b):
-            # 1 - t^b from the distance to the right endpoint of (1/2, 1)
-            if k == 1:
-                w = -mp.expm1(bb * mp.log1p(-dist_b))
-            else:
-                w = 1 - t ** bb
-            return (1 / t - k) * t ** (z - 1) * w ** (-aa)
+        def g(t, dist_a, dist_b):
+            # {1/t} = 1/t - 1 on [1/2, 1], and 1 - t^b from the distance to 1
+            w = -mp.expm1(bb * mp.log1p(-dist_b))
+            return (1 / t - 1) * t ** (z - 1) * w ** (-aa)
 
         def tail():
             # (1 - x^b)^-alpha with x = 1/(k+t) expanded in (k+t)^-b
+            shrink, size = mp.mpf(2) ** (-bb), abs(aa)
             coeff = mp.mpc(1)
             for m in itertools.count():
-                yield coeff, z + 1 + bb * m
+                yield coeff, z + 1 + bb * m, shrink * max(1, (size + m) / (m + 1))
                 coeff *= (aa + m) / (m + 1)
 
-        total, bound = _segments(g, 1, mp.mpc(0), mp.mpf(0), workprec, tol)
-        total, bound = _folded_tail(tail(), total, bound, workprec, tol)
-        return OracleQuadrature(
-            value=HPComplex.from_value(total, precision_bits), error_bound=mp.mpf(bound)
-        )
+        piece = tanh_sinh(g, mp.mpf(1) / 2, mp.mpf(1), workprec,
+                          tolerance=tol / 8, min_level=3)
+        total, bound = _folded_tail(
+            tail(), mp.mpc(piece.value), abs(piece.error_estimate), workprec, tol)
+        return _oracle_result(total, bound, precision_bits)

@@ -373,8 +373,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_verify_fracpart_matches_its_golden_transcript(capsys, monkeypatch):
-    # the default report, byte for byte: the oracles may change how they
-    # compute, never what they print
+    # the default report, byte for byte: a change to what a row prints
+    # comes under the byte rule (ROADMAP), with its rows diffed against an
+    # independent reference and the transcript regenerated
     monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
     code, out, err = _run(capsys, ["verify", "--suite", "fracpart"])
     assert code == 0

@@ -1,6 +1,7 @@
 """Fractional-part transforms: zeta combinations, boundary limits, the
 paired integral, and the alternating/direct series transforms."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -230,8 +231,9 @@ def _reference_oracle(spec, precision_bits):
                 lo += math.comb(beta, r) * (-1) ** (beta - r) * (mp.zeta(z.real + 1 - r) - 1)
             lower = lo / (aa.real + 1)
             upper = mp.zeta(z.real + 1 - beta) / (aa.real + 1)
+        rounding = abs(total) * mp.ldexp(1, -precision_bits)
         return (HPComplex.from_value(total, precision_bits),
-                mp.mpf(tail_bound + series_error), lower, upper, 40 + i + 1)
+                mp.mpf(tail_bound + series_error + rounding), lower, upper, 40 + i + 1)
 
 
 def _bits(x):
@@ -287,6 +289,16 @@ def test_fractional_oracle_keeps_its_bound(alpha, beta, s):
         assert abs(oracle.value.to_mpc() - wide.value.to_mpc()) <= oracle.error_bound
     if oracle.lower is not None:
         assert oracle.lower <= oracle.value.to_mpc().real <= oracle.upper
+
+
+def test_oracle_bound_counts_the_output_rounding():
+    # the value rounds to 96 bits, half a unit in its last place (8.2e-33),
+    # while the truncation and tail bounds alone came to 9.8e-37
+    spec = FracIntegralSpec(Fraction(1, 3), 0, 150)
+    oracle = numeric_fracpart_oracle(spec, precision_bits=96)
+    wide = numeric_fracpart_oracle(spec, precision_bits=320)
+    with mp.workprec(400):
+        assert abs(oracle.value.to_mpc() - wide.value.to_mpc()) <= oracle.error_bound
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,17 +433,21 @@ _TAIL_SIGMAS = [3, 4, 7, 20, 40, mp.mpc(3, 2), mp.mpc(mp.mpf(9) / 2, mp.mpf(1) /
 @pytest.mark.parametrize("shift", [12, 20])
 @pytest.mark.parametrize("sigma", _TAIL_SIGMAS, ids=str)
 def test_exact_tail_integral_matches_quadrature(sigma, shift):
-    # absolute, not relative: at integer sigma and shift mpmath's Hurwitz
-    # zeta has an absolute but not a relative error near 2^-prec
+    # the fold's int_0^1 t zeta(sigma, 2 + t) dt against quadrature of its
+    # pieces t (a + t)^-sigma for 2 <= a < shift plus t zeta(sigma, shift + t).
+    # Absolute, not relative: at integer sigma mpmath's Hurwitz zeta has an
+    # absolute but not a relative error near 2^-prec
     prec = 88
-    got = _zeta_moment_integral(sigma, shift, prec)
+    got = _zeta_moment_integral(sigma, prec)
     with mp.workprec(2 * prec):
         want = mp.quad(lambda t: t * mp.zeta(sigma, shift + t), [0, 1])
+        want += sum(mp.quad(lambda t: t * (a + t) ** -sigma, [0, 1]) for a in range(2, shift))
         assert abs(got - want) <= mp.mpf(2) ** -prec
 
 
-@pytest.mark.parametrize("segments", [6, 12])
-def test_oracle_tails_take_no_quadrature(monkeypatch, segments):
+def test_oracle_tails_take_no_quadrature(monkeypatch):
+    # every unit-fraction segment past x = 1/2 is folded into Hurwitz zetas;
+    # only the weight's singular segment [1/2, 1] is integrated
     calls = []
 
     def counting(*args, **kwargs):
@@ -439,12 +455,67 @@ def test_oracle_tails_take_no_quadrature(monkeypatch, segments):
         return tanh_sinh(*args, **kwargs)
 
     monkeypatch.setattr(fracpart, "tanh_sinh", counting)
-    monkeypatch.setattr(fracpart, "_SEGMENTS", segments)
-    pair_integral_quadrature(2, 64)
-    assert len(calls) == 2 * (segments - 2)
-    calls.clear()
+    for s in (1, 2, 3):
+        pair_integral_quadrature(s, 64)
+    assert calls == []
     frac_weight_quadrature(Fraction(3), 3, Fraction(1, 4), 64)
-    assert len(calls) == segments - 1
+    assert [call[1:3] for call in calls] == [(mp.mpf(1) / 2, 1)]
+
+
+@pytest.mark.parametrize("s", [80, 200])
+def test_pair_oracle_keeps_its_bound_at_large_s(s):
+    # the binomial sum of the right weight cancels by (3/2)^(s-2): summed at
+    # the working precision alone, s = 200 was off by 1.7e-7
+    oracle = pair_integral_quadrature(s, 96)
+    wide = pair_integral_quadrature(s, 256)
+    with mp.workprec(400):
+        assert abs(oracle.value.to_mpc() - wide.value.to_mpc()) <= oracle.error_bound
+
+
+@pytest.mark.parametrize("b", [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)], ids=str)
+def test_folded_tail_remainder_bounds_the_rest(b):
+    # the weight's fold at the 64-bit tolerance against the same fold run far
+    # past its stop; r = 2^-b max(1, (|alpha| + m)/(m + 1)) is above 2/3 here
+    prec = 88
+    with mp.workprec(prec):
+        bb = mp.mpf(b.numerator) / b.denominator
+        alpha, z = mp.mpf(3) / 4, mp.mpc(mp.mpf(3) / 2, 5)
+
+        def terms():
+            coeff = mp.mpc(1)
+            for m in itertools.count():
+                yield coeff, z + 1 + bb * m, mp.mpf(2) ** -bb * max(1, (alpha + m) / (m + 1))
+                coeff *= (alpha + m) / (m + 1)
+
+        value, bound = fracpart._folded_tail(
+            terms(), mp.mpc(0), mp.mpf(0), prec, fracpart._default_tolerance(64))
+        rest, _ = fracpart._folded_tail(terms(), mp.mpc(0), mp.mpf(0), prec, mp.mpf(2) ** -80)
+        assert abs(rest - value) <= bound
+        assert bound <= 2 ** 10 * abs(rest - value)  # a bound, not a blanket
+
+
+def test_weight_oracle_keeps_its_bound_past_an_early_stop():
+    # the eleven-segment oracle stopped segment [1/3, 1/2] on an estimate of
+    # 6.7e-29 against a true error of 3.8e-28, above its stated 1.85e-28
+    s, b, alpha = Fraction(5, 2), 1, Fraction(2, 3)
+    oracle = frac_weight_quadrature(s, b, alpha, 96)
+    with mp.workprec(300):
+        err = abs(oracle.value.to_mpc() - frac_general(s, b, alpha, 224).to_mpc())
+        assert err <= oracle.error_bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(b=st.fractions(Fraction(1, 10), 3, max_denominator=10),
+       alpha=st.fractions(0, Fraction(11, 12), max_denominator=12),
+       re=st.fractions(Fraction(17, 16), 5, max_denominator=16),
+       im=st.fractions(-10, 10, max_denominator=4),
+       bits=st.sampled_from([64, 96]))
+def test_weight_oracle_keeps_its_bound(b, alpha, re, im, bits):
+    s = GaussianRational(re, im)
+    oracle = frac_weight_quadrature(s, b, alpha, bits)
+    with mp.workprec(2 * bits + 64):
+        err = abs(oracle.value.to_mpc() - frac_general(s, b, alpha, bits + 32).to_mpc())
+        assert err <= oracle.error_bound
 
 
 def test_alpha_to_one_limit_is_euler_gamma():

@@ -438,7 +438,8 @@ def test_exact_tail_integral_matches_quadrature(sigma, shift):
         assert abs(got - want) <= mp.mpf(2) ** -prec
 
 
-def test_oracle_tails_take_no_quadrature(monkeypatch):
+@pytest.mark.parametrize("s", [6, 12])
+def test_oracle_tails_take_no_quadrature(monkeypatch, s):
     # every unit-fraction segment past x = 1/2 is folded into Hurwitz zetas;
     # only the weight's singular segment [1/2, 1] is integrated
     calls = []
@@ -448,10 +449,10 @@ def test_oracle_tails_take_no_quadrature(monkeypatch):
         return tanh_sinh(*args, **kwargs)
 
     monkeypatch.setattr(fracpart, "tanh_sinh", counting)
-    for s in (1, 2, 3):
-        pair_integral_quadrature(s, 64)
+    for order in (1, 2, 3, s):
+        pair_integral_quadrature(order, 64)
     assert calls == []
-    frac_weight_quadrature(Fraction(3), 3, Fraction(1, 4), 64)
+    frac_weight_quadrature(Fraction(s), 3, Fraction(1, 4), 64)
     assert [call[1:3] for call in calls] == [(mp.mpf(1) / 2, 1)]
 
 

@@ -429,27 +429,22 @@ def _pair_main_term(s: int, workprec: int) -> mp.mpf:
         return value
 
 
-def _pair_correction(s: int, workprec: int, tol) -> mp.mpf:
-    """Alternating-binomial piece of the paired integral.
-
-    For s >= 2 this is a finite binomial sum over elementary T terms; at
-    s = 1 those terms no longer terminate and the value comes from a
-    Hurwitz-zeta series with geometric (ratio 1/4) decay.
+def _pair_correction(s: int, workprec: int) -> mp.mpf:
+    """Alternating-binomial piece of the paired integral: for s >= 2 the
+    finite sum `_binomial_moments`; at s = 1 a Hurwitz-zeta series whose
+    terms fall by less than 1/4 each and stay below 4^-i.  So it stops once
+    a term T has T/3 < 2^-workprec, and forms term i 2i - 16 bits below
+    workprec, where it errs by well under 2^-(workprec+8).
     """
     with mp.workprec(workprec):
         if s >= 2:
-            total = mp.mpf(0)
-            for j in range(s - 1):
-                m = j + 3
-                t_m = mp.mpf(2) ** (2 - m) / (m - 2)
-                t_m += (1 - mp.mpf(2) ** (1 - m) - mp.zeta(m - 1)) / (m - 1)
-                total += (-1) ** j * math.comb(s - 2, j) * t_m
-            return total
+            return _binomial_moments(mp.mpf(0), s, workprec)
         total = mp.zeta(2) - mp.mpf(3) / 2
         for i in range(2, _SERIES_BUDGET):
-            term = (mp.zeta(2 * i - 1, 2) - mp.zeta(2 * i, 2)) / i
+            with mp.workprec(max(workprec - 2 * i + 16, 32)):
+                term = (mp.zeta(2 * i - 1, 2) - mp.zeta(2 * i, 2)) / i
             total -= term
-            if term < tol / 4:
+            if term < mp.ldexp(3, -workprec):
                 return total
         raise ConvergenceError("paired-integral series exhausted its budget")
 
@@ -464,9 +459,8 @@ def frac_pair_integral(s: int, precision_bits: int = DEFAULT_PRECISION) -> HPCom
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
     workprec = precision_bits + GUARD_BITS
-    tol = _default_tolerance(precision_bits)
     with mp.workprec(workprec):
-        value = _pair_main_term(s, workprec) + _pair_correction(s, workprec, tol)
+        value = _pair_main_term(s, workprec) + _pair_correction(s, workprec)
         return HPComplex.from_value(value, precision_bits)
 
 
@@ -501,6 +495,21 @@ def _zeta_moment_integral(sigma, workprec):
         return +value
 
 
+def _binomial_moments(total, s: int, workprec: int):
+    """total plus sum_{m=0}^{s-2} (-1)^m C(s-2, m) int_0^1 t zeta(m+3, 2+t) dt.
+
+    Each zeta integral is at most 2^-(m+3), so the binomial terms add up to
+    at most 2^(guard-3) with 2^guard >= (3/2)^(s-2); summed guard bits
+    higher, they round by at most (s+4) 2^-(workprec+3).
+    """
+    n = max(s - 2, 0)
+    guard = (3 ** n - 1).bit_length() - n
+    with mp.workprec(workprec + guard):
+        for m in range(s - 1):
+            total += (-1) ** m * math.comb(s - 2, m) * _zeta_moment_integral(m + 3, mp.prec)
+    return total
+
+
 def _folded_tail(terms: Iterable, total, bound, workprec, tol):
     """Add c_m int_0^1 t zeta(sigma_m, 2 + t) dt over the triples
     (c_m, sigma_m, r_m) of terms to total, and a bound on the rest to bound.
@@ -533,9 +542,10 @@ def pair_integral_quadrature(s: int, precision_bits: int = 96) -> OracleQuadratu
     series at s = 1 and a polynomial for s >= 2, whose binomial sum cancels
     by up to (3/2)^(s-2) and so runs as many bits higher.  The error bound
     adds the series' geometric remainder, that sum's rounding and the
-    output rounding.  The oracle stays independent of `frac_pair_integral`:
-    it sums Hurwitz zetas, where the closed assembly sums Euler's constant
-    and zeta values.
+    output rounding.  For s >= 2 that sum (`_binomial_moments`) is shared
+    with `frac_pair_integral`; the rest stays independent of it: the oracle
+    sums Hurwitz zetas, where the closed assembly sums Euler's constant and
+    zeta values.
     """
     if not isinstance(s, int) or s < 1:
         raise DomainError("the paired integral is implemented for integer s >= 1")
@@ -547,14 +557,7 @@ def pair_integral_quadrature(s: int, precision_bits: int = 96) -> OracleQuadratu
         for _ in range(2 if s == 1 else 1):  # at s = 1 both weights are y/(1-y)
             total, bound = _folded_tail(
                 ((1, s + m + 2, half) for m in itertools.count()), total, bound, workprec, tol)
-        # each zeta integral is at most 2^-(m+3), so the binomial terms add up
-        # to at most 2^(guard-3), and guard bits higher their sum rounds by at
-        # most (s+4) 2^-(workprec+3)
-        n = max(s - 2, 0)
-        guard = (3 ** n - 1).bit_length() - n  # 2^guard >= (3/2)^(s-2)
-        with mp.workprec(workprec + guard):
-            for m in range(s - 1):
-                total += (-1) ** m * math.comb(s - 2, m) * _zeta_moment_integral(m + 3, mp.prec)
+        total = _binomial_moments(total, s, workprec)
         bound += mp.ldexp(s + 4, -workprec - 3)
         return _oracle_result(total, bound, precision_bits)
 

@@ -1,8 +1,9 @@
 """Mellin transforms of Legendre and Ferrers functions on (0, 1).
 
 M_n^m(s) factors as sqrt(pi) * 2^t * p_n^m(s) * Gamma((s+eps)/2) / Gamma((s+n+1)/2)
-with an exact rational polynomial p_n^m for even m; odd m goes through the
-three-term recursion in n with gamma-ratio seeds.  Everything else here is
+with an exact rational polynomial p_n^m for even m, built at the one degree
+asked from the finite Beta sum L8; odd m goes through the three-term
+recursion in n with gamma-ratio seeds.  Everything else here is
 an alternative route to the same numbers: hypergeometric representations,
 finite Beta sums, direct quadrature, and the generating function.
 """
@@ -13,9 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
-from math import comb, factorial, gcd, lcm
-from typing import Dict, Tuple
+from math import comb, factorial, lcm
 
 import mpmath as mp
 
@@ -72,65 +71,32 @@ class MellinClosedForm:
         return HPComplex.from_value(value, precision_bits)
 
 
-# p_n^m in the falling-factorial basis f_j(s) = s(s-1)...(s-j+1): integer
-# coefficients c_j with one shared denominator, p = sum_j c_j f_j / den.
-# Every degree from m up to the highest one built for this m is kept.
-_PolyInt = Tuple[Tuple[int, ...], int]
-_POLY_CACHE: Dict[Tuple[int, int], _PolyInt] = {}
+def _l8_integers(n: int, m: int) -> tuple[list, int]:
+    """(monomial numerators, power-of-two denominator) of p_n^m, m even,
+    from the catalog's row L8 at this one degree.
 
+    L8 sums c_l B((n+s-l)/2, (l+1)/2) over even l in [m, n], times (n+1)_m,
+    with c_l = (-1)^((m+l)/2) C(n, l) C(l, (l-m)/2) / 2^(l+1).  Divided by
+    the gamma ratio Gamma((s+eps)/2) / Gamma((s+n+1)/2), eps = n mod 2, and
+    by sqrt(pi) 2^t, t = _two_power(n, m), this is
 
-def _poly_int(n: int, m: int) -> _PolyInt:
-    """(falling-factorial coeffs, denominator) of p_n^m, m even, via the
-    two-branch recursion
+        p_n^m(s) = (n+1)_m 2^-t sum_l c_l (l-1)!! 2^(-l/2) ((s+eps)/2)_j,
 
-        p_k = (2/(k-m)) [ (2k-1) s p_{k-1}(s+1) - (k+m-1)(s+k-1) p_{k-2} ],  k-m even,
-        p_k = (1/(k-m)) [ (2k-1) p_{k-1}(s+1) - 2(k+m-1)(s+k-1) p_{k-2} ],  k-m odd.
-
-    In this basis both operations take O(d) integer steps: the shift by one is
-    f_j(s+1) = f_j(s) + j f_{j-1}(s), and (s+c) f_j = f_{j+1} + (j+c) f_j.
-    Each step reduces by the gcd of its coefficients and denominator, and
-    the recursion resumes from the two highest cached degrees.
+    j = (n-l-eps)/2.  Horner in that rising basis, from j = (n-m)//2 down,
+    takes acc <- (s + eps + 2j) acc + c_l (l-1)!! 2^(l+1) 4^j on integers,
+    over the shared denominator 2^((n-eps+m)/2).
     """
-    key = (n, m)
-    if key in _POLY_CACHE:
-        return _POLY_CACHE[key]
-    if (m, m) not in _POLY_CACHE:
-        base = (-1) ** m * double_factorial(2 * m - 1) * double_factorial(m - 1)
-        _POLY_CACHE[(m, m)] = ((base,), 1)                    # p_m^m
-        _POLY_CACHE[(m + 1, m)] = (((2 * m + 1) * base,), 1)  # p_{m+1}^m
-    top = m + 1
-    while (top + 1, m) in _POLY_CACHE:
-        top += 1
-    prev2, prev1 = _POLY_CACHE[(top - 1, m)], _POLY_CACHE[(top, m)]
-    for k in range(top + 1, n + 1):
-        (a, da), (b, db) = prev1, prev2
-        t1 = [c + (j + 1) * d for j, (c, d) in enumerate(zip(a, a[1:] + (0,)))]
-        if (k - m) % 2 == 0:
-            t1 = [c + j * d for j, (c, d) in enumerate(zip([0] + t1, t1 + [0]))]
-            u = 2 * (2 * k - 1) * db
-        else:
-            u = (2 * k - 1) * db
-        t2 = [c + (j + k - 1) * d for j, (c, d) in enumerate(zip((0,) + b, b + (0,)))]
-        v = 2 * (k + m - 1) * da
-        num = [u * x - v * y for x, y in zip_longest(t1, t2, fillvalue=0)]
-        den = da * db * (k - m)
-        while num and num[-1] == 0:
-            num.pop()
-        g = gcd(den, *num)
-        current: _PolyInt = (tuple(c // g for c in num), den // g)
-        _POLY_CACHE[(k, m)] = current
-        prev2, prev1 = prev1, current
-    return _POLY_CACHE[key]
-
-
-def _monomial(coeffs: Tuple[int, ...]) -> list:
-    """Monomial coefficients of sum_j coeffs[j] f_j(s), by Horner in Newton
-    form: p <- p (s - j) + coeffs[j] from the top degree down."""
-    out = [coeffs[-1]]
-    for j in range(len(coeffs) - 2, -1, -1):
-        out = [coeffs[j] - j * out[0]] + [
-            c - j * d for c, d in zip(out, out[1:] + [0])]
-    return out
+    eps = n % 2
+    acc, odd = [0], double_factorial(m - 1)  # odd = (l-1)!! for l = m first
+    for j in range((n - m) // 2, -1, -1):
+        ell = n - eps - 2 * j
+        c = eps + 2 * j
+        acc = [c * x + y for x, y in zip(acc, [0] + acc)] + acc[-1:]
+        acc[0] += ((-1) ** ((m + ell) // 2) * comb(n, ell) * comb(ell, (ell - m) // 2)
+                   * odd) << (2 * j)
+        odd *= ell + 1
+    rising = factorial(n + m) // factorial(n)
+    return [rising * x for x in acc], 2 ** ((n - eps + m) // 2)
 
 
 def _two_power(n: int, m: int) -> int:
@@ -147,9 +113,9 @@ def _prefactor(n: int, m: int, z: mp.mpc) -> mp.mpc:
 def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
     """Exact polynomial factor and gamma prefactor of M_n^m, m even.
 
-    The two-power in the prefactor is fixed operationally: it is the unique
-    exponent making the base case p_m^m = (-1)^m (2m-1)!! (m-1)!! exact, and
-    it reproduces every special-value anchor (pi/2, pi/8, 9pi/128, ...).
+    The two-power in the prefactor is a normalisation: it makes the base
+    case p_m^m = (-1)^m (2m-1)!! (m-1)!! and reproduces every special-value
+    anchor (pi/2, pi/8, 9pi/128, ...).  The L8 sum then fixes p_n^m exactly.
     """
     if n < 0 or m < 0:
         raise DomainError("poly_factor requires n >= 0 and m >= 0")
@@ -162,9 +128,8 @@ def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
 
 @cache
 def _closed_form(n: int, m: int) -> MellinClosedForm:
-    """poly_factor(n, m), built from _poly_int's integers once per process."""
-    coeffs, den = _poly_int(n, m)
-    return MellinClosedForm(RationalPolynomial.from_integers(_monomial(coeffs), den), n, m)
+    """poly_factor(n, m), built from _l8_integers once per process."""
+    return MellinClosedForm(RationalPolynomial.from_integers(*_l8_integers(n, m)), n, m)
 
 
 # ---------------------------------------------------------------------------

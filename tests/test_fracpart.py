@@ -558,6 +558,23 @@ def test_pair_integral_closed_values():
         assert _near(got2, mp.euler - mp.mpf(1) / 2, 256)
 
 
+@pytest.mark.parametrize("s", [3, 40, 100, 150, 300])
+def test_pair_integral_keeps_its_bits_at_large_s(s):
+    # the binomial piece cancels by about (3/2)^(s-2) against its terms
+    got = frac_pair_integral(s, 96).to_mpc()
+    want = frac_pair_integral(s, 256 + s).to_mpc()
+    with mp.workprec(256 + s):
+        assert abs(got - want) <= mp.ldexp(abs(want), -94)
+
+
+@pytest.mark.parametrize("p", [64, 96, 256])
+def test_pair_integral_at_one_is_within_its_last_bit(p):
+    got = frac_pair_integral(1, p).to_mpc()
+    with mp.workprec(p + 64):
+        want = 2 * mp.euler - 1
+        assert abs(got - want) <= mp.ldexp(abs(want), -p)
+
+
 def test_pair_integral_report_consistency():
     for s in (1, 2, 3):
         report = pair_integral_report(s, 96)

@@ -6,7 +6,7 @@ import hashlib
 import signal
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
@@ -25,7 +25,12 @@ from legmellin.mpcore import (
     to_mpc,
 )
 from legmellin.quadrature import tanh_sinh
-from legmellin.specfun import HypergeometricSpec, hyp_pfq, terminating_coefficients
+from legmellin.specfun import (
+    HypergeometricSpec,
+    double_factorial,
+    hyp_pfq,
+    terminating_coefficients,
+)
 from legmellin.mellin import (
     RepVariant,
     genfun,
@@ -79,14 +84,18 @@ def test_poly_leading_coefficient_and_degree():
         assert p.leading_coefficient == 2 ** (n // 2)
 
 
-# SHA-256 of str(coefficients), pinned from the monomial-basis recursion that
-# the falling-factorial walk replaced: the exact rationals must not move
+# SHA-256 of str(coefficients), pinned from builds by the two-branch degree
+# recursion (monomial and falling-factorial bases) that the one-degree L8
+# build replaced: the exact rationals must not move
 POLY_DIGESTS = {
     (100, 0): "530335021623724a1b0ba59b37b0e42b47d5986d537f8b6572b27c9296fd7776",
     (200, 0): "c24b22ee11323d7d26a4572e0f2300dc2fe8ee557500e992b4d000015d9ac20b",
     (300, 0): "237704fd9a157c7dc9d71cf9f4db2ae0bd9e06bc847f9b95650045e17ea17c95",
     (150, 2): "0d279a321f233eba3613806784bf686fa0074acc72f631e8715842e124f5b713",
     (201, 10): "0055527c84b12707a966c3212aa2ba077051054a2f47621f7946d6cdfba34321",
+    (800, 0): "70ee1b39ecbda4764f74c00d7dc7eb349fef844257f56ecdc3d14dce41891166",
+    (1200, 0): "1c3de117d2f0733b4ebbea94016c0eb814b129afca3e96cf0c834a2b300f3fa2",
+    (601, 20): "d2526dfb7a073c7edd134c369d3f5a888e2a3d47d9abfc43c63afac32bc19c3b",
 }
 
 
@@ -352,22 +361,44 @@ def test_fixed_point_walk_holds_its_precision(n, m, s):
     assert _rel_error(got, want) < mp.mpf(2) ** -(b - 8)
 
 
-def test_poly_int_resumes_from_cached_degrees(monkeypatch):
-    # each step of the walk stores exactly one new degree in the cache
-    class CountingCache(dict):
-        stores = 0
+def _recursion_factors(m: int, top: int) -> dict:
+    """p_n^m for m <= n <= top as monomial Fraction lists, by the paper's
+    two-branch degree recursion from p_m^m = (2m-1)!! (m-1)!! (m even),
 
-        def __setitem__(self, key, value):
-            CountingCache.stores += 1
-            super().__setitem__(key, value)
+        p_k = (2/(k-m)) [(2k-1) s p_{k-1}(s+1) - (k+m-1)(s+k-1) p_{k-2}(s)],  k-m even,
+        p_k = (1/(k-m)) [(2k-1) p_{k-1}(s+1) - 2(k+m-1)(s+k-1) p_{k-2}(s)],  k-m odd.
+    """
+    def shift(p):  # p(s + 1)
+        return [sum(comb(i, j) * p[i] for i in range(j, len(p))) for j in range(len(p))]
 
-    monkeypatch.setattr(mellin, "_POLY_CACHE", {})
-    cold = mellin._poly_int(20, 0)
-    monkeypatch.setattr(mellin, "_POLY_CACHE", {})
-    mellin._poly_int(12, 0)
-    monkeypatch.setattr(mellin, "_POLY_CACHE", CountingCache(mellin._POLY_CACHE))
-    assert mellin._poly_int(20, 0) == cold
-    assert CountingCache.stores == 8
+    def times_linear(p, c):  # (s + c) p(s)
+        return [c * a + b for a, b in zip(p + [0], [0] + p)]
+
+    def combine(x, y, a, b):  # a x - b y
+        width = max(len(x), len(y))
+        x, y = x + [0] * (width - len(x)), y + [0] * (width - len(y))
+        out = [a * u - b * v for u, v in zip(x, y)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    base = Fraction(double_factorial(2 * m - 1) * double_factorial(m - 1))
+    polys = {m: [base], m + 1: [(2 * m + 1) * base]}
+    for k in range(m + 2, top + 1):
+        up, down = shift(polys[k - 1]), times_linear(polys[k - 2], k - 1)
+        if (k - m) % 2 == 0:
+            polys[k] = combine(times_linear(up, 0), down,
+                               Fraction(2 * (2 * k - 1), k - m), Fraction(2 * (k + m - 1), k - m))
+        else:
+            polys[k] = combine(up, down,
+                               Fraction(2 * k - 1, k - m), Fraction(2 * (k + m - 1), k - m))
+    return polys
+
+
+@pytest.mark.parametrize("m", range(0, 11, 2))
+def test_l8_build_matches_the_degree_recursion(m):
+    for n, want in _recursion_factors(m, 60).items():
+        assert list(poly_factor(n, m).poly.coefficients) == want, (n, m)
 
 
 # ---------------------------------------------------------------------------

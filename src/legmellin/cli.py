@@ -301,7 +301,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _factor_rows(args: argparse.Namespace, low: int) -> range:
     """n from max(start, m + low) to stop: the rows where p_n^m exists
     (low = 0) or has roots (low = 2, its degree being (n - m) // 2).  A
-    negative or odd m is refused as poly_factor refuses it."""
+    negative m is refused as poly_factor refuses it."""
     poly_factor(args.m, args.m)
     return range(max(args.start, args.m + low), args.stop + 1)
 

@@ -271,8 +271,8 @@ def critical_line_report(n: int, m: int = 0,
 
 def functional_equation_sign(n: int, m: int = 0) -> int:
     """(-1)^deg: the reflection parity forced by roots on Re s = 1/2."""
-    if m % 2 != 0 or m > n:
-        raise DomainError("functional equation applies to even m <= n")
+    if m > n:
+        raise DomainError("functional equation applies to m <= n")
     return -1 if ((n - m) // 2) % 2 else 1
 
 
@@ -324,9 +324,8 @@ def difference_equation_symbolic(n: int, m: int = 0) -> RationalPolynomial:
     """The exact polynomial-level identity after clearing the gamma shifts:
     returns A(s)(s+n+1)(s+eps-2)p(s) + B(s)(s+eps)(s+eps-2)p(s+2)
     + C(s)(s+n-1)(s+n+1)p(s-2), which must be the zero polynomial."""
-    closed = poly_factor(n, m)
-    p = closed.poly
-    eps = n % 2
+    p = poly_factor(n, m).poly
+    eps = (n - m) % 2
     A, B, C = _coefficient_polys(n, m)
     p_up = poly_affine_substitute(p, Fraction(1), Fraction(2))
     p_down = poly_affine_substitute(p, Fraction(1), Fraction(-2))

@@ -1,11 +1,12 @@
 """Mellin transforms of Legendre and Ferrers functions on (0, 1).
 
-M_n^m(s) factors as sqrt(pi) * 2^t * p_n^m(s) * Gamma((s+eps)/2) / Gamma((s+n+1)/2)
-with an exact rational polynomial p_n^m for even m, built at the one degree
-asked from the finite Beta sum L8; odd m goes through the three-term
-recursion in n with gamma-ratio seeds.  Everything else here is
-an alternative route to the same numbers: hypergeometric representations,
-finite Beta sums, direct quadrature, and the generating function.
+M_n^m(s) factors as 2^t * p_n^m(s) * Gamma((s+eps)/2) / Gamma((s+n+1)/2),
+times sqrt(pi) for even m, with eps = (n-m) mod 2 and an exact rational
+polynomial p_n^m built at the one degree asked from the finite Beta sum L8.
+The three-term recursion in n with gamma-ratio seeds is kept as an
+independent reference.  Everything else here is an alternative route to
+the same numbers: hypergeometric representations, finite Beta sums,
+direct quadrature, and the generating function.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import mpmath as mp
 
@@ -53,8 +54,10 @@ def _require_right_half_plane(s, workprec: int) -> mp.mpc:
 
 @dataclass(frozen=True)
 class MellinClosedForm:
-    """p_n^m with its prefactor sqrt(pi) 2^t Gamma((s+eps)/2) / Gamma((s+n+1)/2),
-    where t = _two_power(n, m) and eps = n mod 2."""
+    """p_n^m with its prefactor 2^t Gamma((s+eps)/2) / Gamma((s+n+1)/2),
+    times sqrt(pi) for even m, where t = _two_power(n, m) and
+    eps = (n-m) mod 2.  For odd m the gamma ratio is 1/((s+eps)/2)_K with
+    K = (n+1-eps)/2, so p_n^m(s) times it is a rational function of s."""
 
     poly: RationalPolynomial
     n: int
@@ -72,21 +75,24 @@ class MellinClosedForm:
 
 
 def _l8_integers(n: int, m: int) -> tuple[list, int]:
-    """(monomial numerators, power-of-two denominator) of p_n^m, m even,
-    from the catalog's row L8 at this one degree.
+    """(monomial numerators, power-of-two denominator) of p_n^m from the
+    catalog's row L8 at this one degree.
 
-    L8 sums c_l B((n+s-l)/2, (l+1)/2) over even l in [m, n], times (n+1)_m,
+    L8 sums c_l B((n+s-l)/2, (l+1)/2) over l = m, m+2, ..., times (n+1)_m,
     with c_l = (-1)^((m+l)/2) C(n, l) C(l, (l-m)/2) / 2^(l+1).  Divided by
-    the gamma ratio Gamma((s+eps)/2) / Gamma((s+n+1)/2), eps = n mod 2, and
-    by sqrt(pi) 2^t, t = _two_power(n, m), this is
+    the gamma ratio Gamma((s+eps)/2) / Gamma((s+n+1)/2), eps = (n-m) mod 2,
+    and by 2^t, t = _two_power(n, m), this is
 
-        p_n^m(s) = (n+1)_m 2^-t sum_l c_l (l-1)!! 2^(-l/2) ((s+eps)/2)_j,
+        p_n^m(s) = (n+1)_m 2^-t sum_l c_l Gamma((l+1)/2) ((s+eps)/2)_j,
 
-    j = (n-l-eps)/2.  Horner in that rising basis, from j = (n-m)//2 down,
-    takes acc <- (s + eps + 2j) acc + c_l (l-1)!! 2^(l+1) 4^j on integers,
-    over the shared denominator 2^((n-eps+m)/2).
+    j = (n-l-eps)/2, with Gamma((l+1)/2) = (l-1)!! 2^(-l/2) sqrt(pi) for
+    even l (the sqrt(pi) goes to the prefactor) and (l-1)!! 2^((1-l)/2) for
+    odd l.  Both parities come to one step: Horner in that rising basis,
+    from j = (n-m)//2 down, takes acc <- (s + eps + 2j) acc
+    + c_l (l-1)!! 2^(l+1) 4^j on integers, over the shared denominator
+    2^((n-eps+m)/2).
     """
-    eps = n % 2
+    eps = (n - m) % 2
     acc, odd = [0], double_factorial(m - 1)  # odd = (l-1)!! for l = m first
     for j in range((n - m) // 2, -1, -1):
         ell = n - eps - 2 * j
@@ -104,14 +110,15 @@ def _two_power(n: int, m: int) -> int:
 
 
 def _prefactor(n: int, m: int, z: mp.mpc) -> mp.mpc:
-    """sqrt(pi) 2^t Gamma((z+eps)/2) / Gamma((z+n+1)/2) at the ambient
-    precision, t = _two_power(n, m) and eps = n mod 2."""
-    return (mp.sqrt(mp.pi) * mp.power(2, _two_power(n, m))
-            * mp.gamma((z + n % 2) / 2) * mp.rgamma((z + (n + 1)) / 2))
+    """2^t Gamma((z+eps)/2) / Gamma((z+n+1)/2), times sqrt(pi) for even m,
+    at the ambient precision, t = _two_power(n, m) and eps = (n-m) mod 2."""
+    value = (mp.power(2, _two_power(n, m))
+             * mp.gamma((z + (n - m) % 2) / 2) * mp.rgamma((z + (n + 1)) / 2))
+    return value * mp.sqrt(mp.pi) if m % 2 == 0 else value
 
 
 def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
-    """Exact polynomial factor and gamma prefactor of M_n^m, m even.
+    """Exact polynomial factor and gamma prefactor of M_n^m.
 
     The two-power in the prefactor is a normalisation: it makes the base
     case p_m^m = (-1)^m (2m-1)!! (m-1)!! and reproduces every special-value
@@ -119,8 +126,6 @@ def poly_factor(n: int, m: int = 0) -> MellinClosedForm:
     """
     if n < 0 or m < 0:
         raise DomainError("poly_factor requires n >= 0 and m >= 0")
-    if m % 2 != 0:
-        raise DomainError("polynomial factors exist for even m only")
     if m > n:
         raise DomainError(f"order m = {m} exceeds degree n = {n}")
     return _closed_form(n, m)
@@ -153,19 +158,6 @@ def _degree_walk(n: int, m: int, row: list) -> int:
         a, c = 2 * k - 1, (k + m - 1) * (k - m - 1)
         prev, row = row, [a * x - c * y for x, y in zip(row, prev[1:])]
     return row[0]
-
-
-def _odd_order_exact(n: int, m: int, s: Fraction) -> Fraction:
-    """M_n^m(s) for odd m and rational s; all values are exact rationals."""
-    # Gamma((m+1)/2) = ((m-1)/2)! = (m-1)!!/2^((m-1)/2) for odd m;
-    # Gamma(s/2)/Gamma((s+m+1)/2) = 1/(s/2)_((m+1)/2), integer count
-    num = (-1) ** m * double_factorial(2 * m - 1) \
-        * Fraction(double_factorial(m - 1), 2 ** ((m - 1) // 2))
-    seeds = [num / 2 / pochhammer_rational((s + n - m - 2 * i) / 2, (m + 1) // 2)
-             for i in range((n - m) // 2 + 1)]
-    scale = lcm(*(q.denominator for q in seeds))
-    walked = _degree_walk(n, m, [q.numerator * (scale // q.denominator) for q in seeds])
-    return Fraction(walked, scale * factorial(n - m))
 
 
 def _seeded_walk(n: int, m: int, s: mp.mpc) -> mp.mpc:
@@ -223,32 +215,19 @@ def mellin_recursion_reference(n: int, m: int, s,
 
 
 def mellin_closed(n: int, m: int, s, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
-    """M_n^m(s) by the closed route: exact polynomial factor for even m,
-    degree recursion for odd m (over rationals when rational_or_none reads
-    s as an exact real); exact 0 for m > n."""
+    """M_n^m(s) by the closed route, the exact polynomial factor times its
+    gamma prefactor; exact 0 for m > n."""
     if n < 0 or m < 0:
         raise DomainError("mellin_closed requires n >= 0 and m >= 0")
-    workprec = precision_bits + GUARD_BITS
-    _require_right_half_plane(s, workprec)
+    _require_right_half_plane(s, precision_bits + GUARD_BITS)
     if m > n:
         return HPComplex(0, 0, precision_bits)
-    if m % 2 == 0:
-        return poly_factor(n, m).evaluate(s, precision_bits)
-    sq = rational_or_none(s)
-    if sq is not None:
-        exact = _odd_order_exact(n, m, sq)
-        with mp.workprec(workprec):
-            value = mp.mpf(exact.numerator) / exact.denominator
-        return HPComplex.from_value(value, precision_bits)
-    # the float walk loses up to about 1.25 bits per degree
-    workprec += (3 * n) // 2
-    with mp.workprec(workprec):
-        z = to_mpc(s, workprec)
-        return HPComplex.from_value(_seeded_walk(n, m, z), precision_bits)
+    return poly_factor(n, m).evaluate(s, precision_bits)
 
 
 def mellin_odd_order_exact(n: int, m: int, s) -> Fraction:
-    """Exact rational M_n^m(s) for odd m and rational s > 0."""
+    """Exact rational M_n^m(s) for odd m and rational s > 0: the closed form
+    2^t p_n^m(s) / ((s+eps)/2)_K with eps = (n-m) mod 2, K = (n+1-eps)/2."""
     if n < 0 or m < 0:
         raise DomainError("mellin_odd_order_exact requires n >= 0 and m >= 0")
     if m % 2 != 1:
@@ -258,7 +237,10 @@ def mellin_odd_order_exact(n: int, m: int, s) -> Fraction:
         raise DomainError(f"transform defined for exact rational s > 0, got {s!r}")
     if m > n:
         return Fraction(0)
-    return _odd_order_exact(n, m, sq)
+    eps = (n - m) % 2
+    value = poly_factor(n, m).poly.eval_rational(sq) \
+        / pochhammer_rational((sq + eps) / 2, (n + 1 - eps) // 2)
+    return value * Fraction(2) ** _two_power(n, m)
 
 
 def special_value_at_1(n: int, precision_bits: int = DEFAULT_PRECISION) -> HPComplex:
@@ -733,7 +715,7 @@ def order_one_exact(n: int, s) -> Fraction:
 def order_one_rationality_check(n: int) -> bool:
     """Certify that M_n^1 is the rational function order_one_exact gives.
 
-    The degree walk's exact M_n^1 is a sum of simple poles at the zeros of
+    The closed form's exact M_n^1 is a sum of simple poles at the zeros of
     the Pochhammer denominator D, of degree deg = ceil(n/2), so (M_n^1 + 1) D
     is a polynomial of degree at most deg on both routes; agreeing at the
     deg + 1 integers 1..deg+1 proves them equal, and ten half-integers

@@ -244,7 +244,7 @@ def _assert_typed_refusal(code, err):
 @given(n=st.integers(-2, 30), m=st.integers(-1, 12))
 def test_poly_ends_in_a_value_or_exit_two(n, m):
     code, out, err = _run_quietly(["poly", f"--n={n}", f"--m={m}"])
-    if 0 <= m <= n and m % 2 == 0:
+    if 0 <= m <= n:
         assert code == 0, err
         assert len(json.loads(out)["coeffs"]) == (n - m) // 2 + 1
     else:
@@ -258,7 +258,7 @@ def test_zeros_ends_in_a_value_or_exit_two(m, excess, prec):
     n = m + excess
     code, out, err = _run_quietly(["zeros", f"--n={n}", f"--m={m}",
                                    "--precision", str(prec)])
-    if n >= 0 and m >= 0 and m % 2 == 0 and excess >= 2:
+    if n >= 0 and m >= 0 and excess >= 2:
         assert code == 0, err
         assert len(json.loads(out)["roots"]) == excess // 2
     else:
@@ -302,11 +302,10 @@ def test_table_ends_in_a_value_or_exit_two(what, start, stop, m, re_s, im_s, fmt
     code, out, err = _run_quietly([
         "table", f"--what={what}", f"--start={start}", f"--stop={stop}", f"--m={m}",
         f"--s={_complex_text(re_s, im_s)}", f"--format={fmt}", "--precision", str(prec)])
-    # polys and zeros need an even m and print the rows n >= m where p_n^m
-    # exists, or n >= m + 2 where its degree (n - m) // 2 gives it roots;
-    # transforms need Re s > 0 (rows with m > n are exact zeros)
-    valid = 0 <= start <= stop and m >= 0 and (re_s > 0 if what == "transforms"
-                                               else m % 2 == 0)
+    # polys and zeros print the rows n >= m where p_n^m exists, or
+    # n >= m + 2 where its degree (n - m) // 2 gives it roots; transforms
+    # need Re s > 0 (rows with m > n are exact zeros)
+    valid = 0 <= start <= stop and m >= 0 and (re_s > 0 or what != "transforms")
     if not valid:
         _assert_typed_refusal(code, err)
         return
@@ -472,8 +471,8 @@ ODD_ORDER_PANEL = [["mellin", "--n", str(n), "--m", str(m), "--s", s, "--precisi
 
 
 def test_odd_order_mellin_panel_matches_its_golden_transcript(capsys, monkeypatch):
-    # odd m: the exact rational walk at rational s, the seeded float walk
-    # at complex s, byte for byte up to degree 150
+    # odd m: the closed form 2^t p_n^m(s) / ((s+eps)/2)_K at rational and
+    # complex s alike, byte for byte up to degree 150
     monkeypatch.delenv(PRECISION_ENV_VAR, raising=False)
     out = _transcript(capsys, ODD_ORDER_PANEL)
     assert out == (GOLDEN / "mellin_odd_order.txt").read_bytes().decode("utf-8")

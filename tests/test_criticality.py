@@ -71,6 +71,15 @@ def test_nonzero_order_zeros():
     assert report.max_deviation <= mp.mpf(10) ** -25
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_odd_order_zeros_are_proven(m):
+    # every root of p_n^m is proven simple and on the line, odd m as even
+    for n in range(m + 2, 41):
+        report = critical_line_report(n, m, 128)
+        assert len(report.roots) == (n - m) // 2
+        assert report.max_deviation <= mp.mpf(2) ** -100
+
+
 def test_constant_factor_rejected():
     with pytest.raises(DomainError):
         critical_line_report(1, 0, 128)
@@ -289,8 +298,7 @@ def test_sign_depends_on_reduced_degree():
 
 
 def test_sign_domain():
-    with pytest.raises(DomainError):
-        functional_equation_sign(4, 1)
+    assert functional_equation_sign(4, 1) == -1
     with pytest.raises(DomainError):
         functional_equation_sign(2, 4)
 
@@ -306,11 +314,20 @@ def test_reflection_identity_even_m(n, m):
     assert functional_equation_check(n, m)
 
 
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_reflection_identity_odd_m(m):
+    for n in range(m, 41):
+        p = poly_factor(n, m).poly
+        reflected = poly_affine_substitute(p, Fraction(-1), Fraction(1))
+        assert reflected == p.scale(Fraction((-1) ** ((n - m) // 2)))
+        assert functional_equation_check(n, m)
+
+
 # ---------------------------------------------------------------------------
 # difference equation
 
 @pytest.mark.parametrize("s", [Fraction(5, 2), Fraction(3), HPComplex(3, 1, 256)])
-@pytest.mark.parametrize("n,m", [(2, 0), (7, 0), (12, 2)])
+@pytest.mark.parametrize("n,m", [(2, 0), (7, 0), (12, 2), (6, 1), (11, 3)])
 def test_difference_equation_numeric(n, m, s):
     terms = difference_equation_terms(n, s, m, 256)
     residual = difference_equation_residual(n, s, m, 256)
@@ -328,6 +345,12 @@ def test_difference_equation_symbolic_zero():
     for n in range(2, 31):
         assert difference_equation_symbolic(n, 0).is_zero
     assert difference_equation_symbolic(12, 2).is_zero
+
+
+@pytest.mark.parametrize("m", [1, 3, 5, 7])
+def test_difference_equation_symbolic_zero_odd_m(m):
+    for n in range(m, 41):
+        assert difference_equation_symbolic(n, m).is_zero
 
 
 # ---------------------------------------------------------------------------
